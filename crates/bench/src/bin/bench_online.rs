@@ -33,6 +33,7 @@ use std::collections::HashMap;
 
 use microbrowse_api::v1::{FeedbackEvent, FeedbackRequest};
 use microbrowse_bench::{corpus_config, Args};
+use microbrowse_core::compiled::ScoringEngine;
 use microbrowse_core::serve::{Fidelity, Scorer};
 use microbrowse_core::{AdCorpus, ModelSpec, PairFilter, Placement};
 use microbrowse_online::OnlineLearner;
@@ -94,7 +95,8 @@ fn eval_accuracy(
         .flat_map(|g| &g.creatives)
         .map(|c| (c.id, c))
         .collect();
-    let scorer = Scorer::with_fidelity(model, stats, Fidelity::Full);
+    let engine = ScoringEngine::compile(stats).expect("stats compile");
+    let scorer = Scorer::with_engine(model, stats, Fidelity::Full, &engine);
     let mut scratch = scorer.scratch();
     let mut correct = 0usize;
     for p in &pairs {

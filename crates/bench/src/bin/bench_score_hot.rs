@@ -5,20 +5,21 @@
 //! M5-shape model whose vocabulary is drawn from that database, and pushes
 //! the same batched pair stream through
 //!
-//! 1. **legacy** — `Scorer::with_fidelity` (hash-map statistics lookups,
-//!    per-batch tokenization cache, alignment recomputed every pair), and
-//! 2. **engine** — `ServingBundle::scorer()` (precompiled feature table,
-//!    arena-backed batch scratch, cross-batch alignment cache),
+//! 1. **reference** — a `Scorer::score_pair_reference` loop (fresh
+//!    tokenization every pair, hash-map statistics lookups, alignment
+//!    recomputed every pair), and
+//! 2. **engine** — `Scorer::score_batch` on `ServingBundle::scorer()`
+//!    (precompiled feature table, persistent snippet arena, cross-batch
+//!    alignment cache),
 //!
 //! asserting the two produce bit-identical scores before reporting
-//! pairs/second for each, the engine-over-legacy speedup, a
+//! pairs/second for each, the engine-over-reference speedup, a
 //! statistics-lookup microbenchmark (`StatsDb` hash probe vs compiled
-//! binary search vs the fixed-point q16 variant), and the alignment-cache
-//! hit counters from an instrumented pass. Results land in
-//! `results/BENCH_score_hot.json`.
+//! binary search), and the alignment-cache hit counters from an
+//! instrumented pass. Results land in `results/BENCH_score_hot.json`.
 //!
 //! With `--gate R` (used by `scripts/check.sh`) the process exits non-zero
-//! unless the engine is at least `R`× the legacy throughput.
+//! unless the engine is at least `R`× the reference throughput.
 //!
 //! Usage: `bench_score_hot [--adgroups 200] [--seed 42] [--pairs 256]
 //! [--batch-size 64] [--batches 200] [--gate 0.0]
@@ -63,28 +64,39 @@ fn model_from_stats(stats: &StatsDb) -> DeployedModel {
     }
 }
 
-/// Time `batches` passes of `batch` through a scorer, returning
-/// (elapsed seconds, scores of the final pass).
+/// Time `reps` passes of `batches` through `score`, returning (elapsed
+/// seconds, scores of the final pass).
 fn run_phase(
-    scorer: &Scorer<'_>,
     batches: &[Vec<(Snippet, Snippet)>],
     reps: usize,
+    mut score: impl FnMut(&[(Snippet, Snippet)]) -> Vec<f64>,
 ) -> (f64, Vec<f64>) {
-    let mut scratch = scorer.scratch();
     // Warmup: one full cycle populates arena capacity and (for the engine)
     // the alignment cache, so the timed section measures the steady state
     // a long-lived serving worker reaches.
     let mut last = Vec::new();
     for batch in batches {
-        last = scorer.score_batch(batch, &mut scratch);
+        last = score(batch);
     }
     let t = Instant::now();
     for _ in 0..reps {
         for batch in batches {
-            last = scorer.score_batch(batch, &mut scratch);
+            last = score(batch);
         }
     }
     (t.elapsed().as_secs_f64(), last)
+}
+
+/// [`run_phase`] through `Scorer::score_batch` on one scratch.
+fn run_engine_phase(
+    scorer: &Scorer<'_>,
+    batches: &[Vec<(Snippet, Snippet)>],
+    reps: usize,
+) -> (f64, Vec<f64>) {
+    let mut scratch = scorer.scratch();
+    run_phase(batches, reps, |batch| {
+        scorer.score_batch(batch, &mut scratch)
+    })
 }
 
 /// ns/lookup over `probes` through an arbitrary lookup closure.
@@ -153,14 +165,20 @@ fn main() {
     let bundle = ServingBundle::from_parts(model.clone(), stats.clone(), Fidelity::Full)
         .expect("bundle compiles");
 
-    eprintln!("timing legacy scorer…");
-    let legacy_scorer = Scorer::with_fidelity(&model, &stats, Fidelity::Full);
-    let (legacy_s, legacy_scores) = run_phase(&legacy_scorer, &batch_list, reps);
-    let legacy_pps = (reps * pairs_per_cycle) as f64 / legacy_s;
+    eprintln!("timing reference path…");
+    let reference_scorer = bundle.scorer();
+    let mut reference_scratch = reference_scorer.scratch();
+    let (reference_s, reference_scores) = run_phase(&batch_list, reps, |batch| {
+        batch
+            .iter()
+            .map(|(r, s)| reference_scorer.score_pair_reference(r, s, &mut reference_scratch))
+            .collect()
+    });
+    let reference_pps = (reps * pairs_per_cycle) as f64 / reference_s;
 
     eprintln!("timing engine scorer…");
     let engine_scorer = bundle.scorer();
-    let (engine_s, engine_scores) = run_phase(&engine_scorer, &batch_list, reps);
+    let (engine_s, engine_scores) = run_engine_phase(&engine_scorer, &batch_list, reps);
     let engine_pps = (reps * pairs_per_cycle) as f64 / engine_s;
 
     // Multi-threaded engine phase: one shared bundle, one scratch per
@@ -176,7 +194,7 @@ fn main() {
             .map(|_| {
                 scope.spawn(|| {
                     let scorer = bundle.scorer();
-                    let (elapsed, scores) = run_phase(&scorer, &batch_list, reps);
+                    let (elapsed, scores) = run_engine_phase(&scorer, &batch_list, reps);
                     black_box(scores);
                     elapsed
                 })
@@ -191,12 +209,12 @@ fn main() {
     let mt_pps = (threads * reps * pairs_per_cycle) as f64 / mt_s;
 
     // The optimization contract: not one bit of drift.
-    assert_eq!(legacy_scores.len(), engine_scores.len());
-    for (i, (a, b)) in legacy_scores.iter().zip(&engine_scores).enumerate() {
+    assert_eq!(reference_scores.len(), engine_scores.len());
+    for (i, (a, b)) in reference_scores.iter().zip(&engine_scores).enumerate() {
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
-            "engine diverged from legacy at pair {i}: {a} vs {b}"
+            "engine diverged from reference at pair {i}: {a} vs {b}"
         );
     }
 
@@ -218,8 +236,7 @@ fn main() {
         microbrowse_obs::counter!("microbrowse_aligncache_misses_total").get() - misses0;
 
     // Lookup microbenchmark: every recorded key plus misses probed through
-    // the hash-map path, the compiled binary-search path, and the
-    // fixed-point q16 variant.
+    // the hash-map path and the compiled binary-search path.
     let mut probes: Vec<FeatureKey> = stats.sorted_records().into_iter().map(|(k, _)| k).collect();
     for i in 0..probes.len().min(512) {
         probes.push(FeatureKey::term(format!("zz-missing-{i}")));
@@ -230,11 +247,10 @@ fn main() {
         stats.get(k).map_or(0.0, |s| s.log_odds(1.0))
     });
     let ns_compiled = time_lookups(&probes, lookup_reps, |k| table.log_odds(k));
-    let ns_q16 = time_lookups(&probes, lookup_reps, |k| table.log_odds_q16(k) as f64);
 
-    let speedup = engine_pps / legacy_pps;
+    let speedup = engine_pps / reference_pps;
     let json = format!(
-        "{{\n  \"workload\": {{\n    \"adgroups\": {adgroups},\n    \"seed\": {seed},\n    \"stats_features\": {},\n    \"vocab\": {},\n    \"distinct_pairs\": {},\n    \"batch_size\": {batch_size},\n    \"batches\": {batches},\n    \"reps\": {reps},\n    \"pairs_scored\": {}\n  }},\n  \"legacy\": {{\n    \"elapsed_s\": {legacy_s:.4},\n    \"pairs_per_s\": {legacy_pps:.1}\n  }},\n  \"engine\": {{\n    \"elapsed_s\": {engine_s:.4},\n    \"pairs_per_s\": {engine_pps:.1},\n    \"compiled_features\": {},\n    \"align_cache_entries\": {},\n    \"align_cache_hits\": {cache_hits},\n    \"align_cache_misses\": {cache_misses}\n  }},\n  \"engine_mt\": {{\n    \"threads\": {threads},\n    \"elapsed_s\": {mt_s:.4},\n    \"pairs_per_s\": {mt_pps:.1}\n  }},\n  \"speedup_pairs_per_s\": {speedup:.2},\n  \"gate\": {gate:.2},\n  \"bit_identical\": true,\n  \"lookup_ns\": {{\n    \"probes\": {},\n    \"statsdb_hash\": {ns_db:.1},\n    \"compiled\": {ns_compiled:.1},\n    \"compiled_q16\": {ns_q16:.1}\n  }}\n}}\n",
+        "{{\n  \"workload\": {{\n    \"adgroups\": {adgroups},\n    \"seed\": {seed},\n    \"stats_features\": {},\n    \"vocab\": {},\n    \"distinct_pairs\": {},\n    \"batch_size\": {batch_size},\n    \"batches\": {batches},\n    \"reps\": {reps},\n    \"pairs_scored\": {}\n  }},\n  \"reference\": {{\n    \"elapsed_s\": {reference_s:.4},\n    \"pairs_per_s\": {reference_pps:.1}\n  }},\n  \"engine\": {{\n    \"elapsed_s\": {engine_s:.4},\n    \"pairs_per_s\": {engine_pps:.1},\n    \"compiled_features\": {},\n    \"align_cache_entries\": {},\n    \"align_cache_hits\": {cache_hits},\n    \"align_cache_misses\": {cache_misses}\n  }},\n  \"engine_mt\": {{\n    \"threads\": {threads},\n    \"elapsed_s\": {mt_s:.4},\n    \"pairs_per_s\": {mt_pps:.1}\n  }},\n  \"speedup_pairs_per_s\": {speedup:.2},\n  \"gate\": {gate:.2},\n  \"bit_identical\": true,\n  \"lookup_ns\": {{\n    \"probes\": {},\n    \"statsdb_hash\": {ns_db:.1},\n    \"compiled\": {ns_compiled:.1}\n  }}\n}}\n",
         stats.len(),
         model.vocab.len(),
         pairs.len(),
@@ -249,7 +265,7 @@ fn main() {
     }
     std::fs::write(&out_path, &json).expect("write benchmark json");
     eprintln!(
-        "legacy {legacy_pps:.0} pairs/s | engine {engine_pps:.0} pairs/s | {threads} threads {mt_pps:.0} pairs/s \
+        "reference {reference_pps:.0} pairs/s | engine {engine_pps:.0} pairs/s | {threads} threads {mt_pps:.0} pairs/s \
          | speedup {speedup:.2}x | lookup {ns_db:.0}ns -> {ns_compiled:.0}ns | cache {cache_hits} hits / {cache_misses} misses"
     );
     println!("{json}");

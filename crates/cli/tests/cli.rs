@@ -386,6 +386,66 @@ fn degrade_policy_serves_without_stats() {
     std::fs::remove_file(&model).ok();
 }
 
+/// Forced degradation (`eval --degraded true` on healthy artifacts) and
+/// outage degradation (`eval --policy degrade` with the stats file gone)
+/// serve through the same engine path: same fidelity, same accuracy.
+#[test]
+fn forced_and_outage_degradation_agree() {
+    let model = tmp("forced-degrade-model.mbm");
+    let stats = tmp("forced-degrade-stats.mbs");
+    let (model_s, stats_s) = (model.to_str().unwrap(), stats.to_str().unwrap());
+    let out = run(&[
+        "train",
+        "--model",
+        model_s,
+        "--stats",
+        stats_s,
+        "--spec",
+        "m6",
+        "--adgroups",
+        "120",
+        "--seed",
+        "5",
+    ]);
+    assert!(
+        out.status.success(),
+        "train failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let eval = |extra: [&str; 2]| {
+        let mut args = vec![
+            "eval",
+            "--model",
+            model_s,
+            "--stats",
+            stats_s,
+            "--adgroups",
+            "60",
+            "--seed",
+            "6",
+        ];
+        args.extend(extra);
+        let out = run(&args);
+        assert!(
+            out.status.success(),
+            "eval {extra:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+
+    let forced = eval(["--degraded", "true"]);
+    std::fs::remove_file(&stats).unwrap(); // the outage
+    let outage = eval(["--policy", "degrade"]);
+    assert!(
+        forced.contains("[fidelity degraded (stats snapshot missing)]"),
+        "{forced}"
+    );
+    assert_eq!(forced, outage);
+
+    std::fs::remove_file(&model).ok();
+}
+
 /// Pull the integer value of `"key":N` out of a JSONL record.
 fn json_u64(line: &str, key: &str) -> u64 {
     let tag = format!("\"{key}\":");

@@ -11,10 +11,9 @@
 //! * term stats become a direct-indexed slice (phrase id → entry);
 //! * rewrite and position stats become sorted packed-integer key slices
 //!   probed by branch-free binary search;
-//! * per-entry derived values — the α=1 log-odds as `f64`, a Q16.16
-//!   fixed-point `i32` variant for degraded-fidelity experimentation, and
-//!   the greedy matcher's candidate score — are resolved once at compile
-//!   time instead of per probe.
+//! * per-entry derived values — the α=1 log-odds and the greedy matcher's
+//!   candidate score — are resolved once at compile time instead of per
+//!   probe.
 //!
 //! Lookups are bit-identical to [`StatsDb::get`] (proptest-enforced in
 //! `tests/prop_hot.rs`): the table stores the *same* [`FeatureStat`] values
@@ -64,9 +63,6 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Fixed-point scale for the `i32` log-odds variant: Q16.16.
-const Q16: f64 = 65536.0;
-
 #[inline]
 fn pack_pos(p: SnippetPos) -> u32 {
     ((p.line as u32) << 16) | p.pos as u32
@@ -90,10 +86,6 @@ pub struct CompiledStat {
     pub stat: FeatureStat,
     /// `stat.log_odds(1.0)`, resolved at compile time.
     pub log_odds: f64,
-    /// Q16.16 fixed-point rounding of `log_odds`, for the degraded-fidelity
-    /// integer scoring experiments (never used on the full-fidelity path —
-    /// it is lossy by construction).
-    pub log_odds_q16: i32,
     /// The greedy rewrite matcher's candidate score for this entry
     /// (evidence mass + effect-size tiebreak), precomputed with the exact
     /// expression `match_line` uses.
@@ -102,13 +94,9 @@ pub struct CompiledStat {
 
 impl CompiledStat {
     fn new(stat: FeatureStat) -> Self {
-        let log_odds = stat.log_odds(1.0);
         Self {
             stat,
-            log_odds,
-            log_odds_q16: (log_odds * Q16)
-                .round()
-                .clamp(i32::MIN as f64, i32::MAX as f64) as i32,
+            log_odds: stat.log_odds(1.0),
             greedy_score: greedy_candidate_score(&stat),
         }
     }
@@ -384,17 +372,6 @@ impl CompiledFeatureTable {
     pub fn log_odds(&self, key: &FeatureKey) -> f64 {
         self.get_compiled(key).map_or(0.0, |c| c.log_odds)
     }
-
-    /// Q16.16 fixed-point log-odds for `key` (`0` when unseen). Lossy; for
-    /// the degraded-fidelity integer path and its microbenchmarks only.
-    pub fn log_odds_q16(&self, key: &FeatureKey) -> i32 {
-        self.get_compiled(key).map_or(0, |c| c.log_odds_q16)
-    }
-
-    /// Convert a Q16.16 fixed-point log-odds back to `f64`.
-    pub fn q16_to_f64(q: i32) -> f64 {
-        q as f64 / Q16
-    }
 }
 
 /// Lazily-built memo from one scratch interner's symbols to table phrase
@@ -549,7 +526,6 @@ mod tests {
         ] {
             assert_eq!(table.get(&miss), None, "miss {miss:?}");
             assert_eq!(table.log_odds(&miss), 0.0);
-            assert_eq!(table.log_odds_q16(&miss), 0);
         }
     }
 
@@ -604,14 +580,6 @@ mod tests {
         assert!(table.is_empty());
         assert_eq!(table.num_phrases(), 0);
         assert_eq!(table.get(&FeatureKey::term("x")), None);
-    }
-
-    #[test]
-    fn q16_round_trips_within_tolerance() {
-        let stat = FeatureStat { up: 1000, down: 3 };
-        let c = CompiledStat::new(stat);
-        let back = CompiledFeatureTable::q16_to_f64(c.log_odds_q16);
-        assert!((back - c.log_odds).abs() <= 0.5 / Q16 + 1e-12);
     }
 
     #[test]

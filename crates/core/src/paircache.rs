@@ -10,10 +10,11 @@
 //! *immutable* interner: they can run on worker threads without
 //! synchronization and produce bit-identical results at any thread count.
 //!
-//! The serve-time analogue is [`Scorer::score_batch`](crate::serve::Scorer::score_batch),
-//! which applies the same amortize-the-preprocessing idea to a single
-//! request batch: tokenize each distinct snippet once, then score every
-//! pair against the cached token arenas.
+//! The serve-time analogue is the snippet arena behind
+//! [`Scorer::score_pair`](crate::serve::Scorer::score_pair), which applies
+//! the same amortize-the-preprocessing idea across requests: each scratch
+//! tokenizes a distinct snippet once, then scores every pair against the
+//! cached token arena.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc as StdArc;

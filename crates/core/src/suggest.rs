@@ -112,20 +112,15 @@ fn render_snippet(lines: &[Vec<String>]) -> Snippet {
 /// Beam-search the top-k rewritten variants of `creative` the model scores
 /// above it.
 ///
-/// Returns an empty list when the scorer has no compiled engine or when
-/// its effective spec has rewrites off (degraded fidelity): suggestion
-/// *requires* the rewrite database. Results are best-first and strictly
-/// above `cfg.min_gain`.
+/// Returns an empty list when the scorer's effective spec has rewrites off
+/// (degraded fidelity): suggestion *requires* the rewrite database.
+/// Results are best-first and strictly above `cfg.min_gain`.
 pub fn suggest<'a>(
     scorer: &Scorer<'a>,
     creative: &Snippet,
     cfg: &SuggestConfig,
     scratch: &mut Scratch<'a>,
 ) -> Vec<Suggestion> {
-    let engine = match scorer.engine() {
-        Some(e) => e,
-        None => return Vec::new(),
-    };
     if !scorer.effective_spec().rewrites
         || cfg.beam_width == 0
         || cfg.max_depth == 0
@@ -133,7 +128,7 @@ pub fn suggest<'a>(
     {
         return Vec::new();
     }
-    let table = engine.table();
+    let table = scorer.engine().table();
 
     let base_lines: Vec<Vec<String>> = creative
         .lines()
@@ -313,13 +308,9 @@ mod tests {
     }
 
     #[test]
-    fn engineless_or_degraded_scorers_suggest_nothing() {
-        let (model, stats) = fixture();
-        let scorer = Scorer::new(&model, &stats);
-        let mut scratch = scorer.scratch();
+    fn degraded_scorer_suggests_nothing() {
+        let (model, _) = fixture();
         let creative = Snippet::from_lines(["book pricey flights"]);
-        assert!(suggest(&scorer, &creative, &SuggestConfig::default(), &mut scratch).is_empty());
-
         let empty = StatsDb::new();
         let engine = ScoringEngine::compile(&empty).expect("compile");
         let degraded = Scorer::with_engine(

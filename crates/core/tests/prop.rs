@@ -6,7 +6,7 @@ use microbrowse_core::corpus::{AdGroup, AdGroupId, Creative, CreativeId, Placeme
 use microbrowse_core::features::{OwnedTermFeat, PositionVocab};
 use microbrowse_core::model::{score_flat, snippet_relevance, TermJudgment};
 use microbrowse_core::rewrite::{changed_spans, token_diff, DiffOp, RewriteExtractor};
-use microbrowse_core::serve::{DegradeReason, DeployedModel, Fidelity, Scorer};
+use microbrowse_core::serve::{DegradeReason, DeployedModel, Fidelity, ServingBundle};
 use microbrowse_core::serveweight::serve_weights;
 use microbrowse_core::{ModelSpec, TrainedClassifier};
 use microbrowse_ml::coupled::CoupledModel;
@@ -213,20 +213,18 @@ proptest! {
     /// `Scorer::score_batch` is bit-for-bit identical to a serial
     /// `score_pair` loop — flat and coupled classifiers, full and
     /// degraded fidelity, with duplicate snippets forced into the batch
-    /// so the per-batch snippet cache is exercised.
+    /// so the snippet arena is exercised.
     #[test]
     fn score_batch_matches_serial_loop_bitwise(
         raw_pairs in prop::collection::vec((arb_snippet_lines(), arb_snippet_lines()), 1..5),
         dup_first in any::<bool>(),
     ) {
-        let stats = StatsDb::new();
         let mut pairs: Vec<(Snippet, Snippet)> = raw_pairs
             .into_iter()
             .map(|(r, s)| (Snippet::from_lines(r), Snippet::from_lines(s)))
             .collect();
         if dup_first {
-            // Duplicates hit the batch arena cache; the serial loop
-            // re-tokenizes, so equality here proves cache transparency.
+            // The duplicate hits the snippet arena on its second visit.
             let first = pairs[0].clone();
             pairs.push(first);
         }
@@ -235,7 +233,9 @@ proptest! {
                 Fidelity::Full,
                 Fidelity::Degraded(DegradeReason::StatsMissing),
             ] {
-                let scorer = Scorer::with_fidelity(&model, &stats, fidelity);
+                let bundle = ServingBundle::from_parts(model.clone(), StatsDb::new(), fidelity)
+                    .expect("bundle");
+                let scorer = bundle.scorer();
                 let mut serial_scratch = scorer.scratch();
                 let serial: Vec<u64> = pairs
                     .iter()

@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --locked --workspace --all-targets"
 cargo build --locked --workspace --all-targets
 
+echo "==> benchmark builds against the crates (perfbench/, lock file unchanged)"
+CARGO_TARGET_DIR=.bench_build cargo build --locked --offline --release -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
@@ -59,9 +62,9 @@ echo "==> flight-recorder overhead gate (< 2% of traced serving wall time, recor
 cargo build --locked --release -q -p microbrowse-bench --bin flight_overhead
 ./target/release/flight_overhead --requests 2000
 
-echo "==> hot-path scoring engine gate (>= 4x legacy throughput, bit-identical)"
+echo "==> hot-path scoring engine gate (>= 5x the per-pair reference path, bit-identical)"
 cargo build --locked --release -q -p microbrowse-bench --bin bench_score_hot
-./target/release/bench_score_hot --adgroups 120 --reps 10 --gate 4.0 \
+./target/release/bench_score_hot --adgroups 120 --reps 10 --gate 5.0 \
     --out /tmp/BENCH_score_hot.check.json
 
 echo "==> server smoke gate (serve + hot reload under load + graceful drain)"
@@ -92,4 +95,4 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
-echo "OK: build, tests, fault injection, unwrap audit, overhead gate, trace schema, flight recorder, hot-path gate, server smoke, online drift gate, suggest gate, chaos gate, api docs, clippy, fmt all green"
+echo "OK: build, benchmark build, tests, fault injection, unwrap audit, overhead gate, trace schema, flight recorder, hot-path gate, server smoke, online drift gate, suggest gate, chaos gate, api docs, clippy, fmt all green"

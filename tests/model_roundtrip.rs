@@ -4,7 +4,7 @@
 
 use microbrowse_core::classifier::{ModelSpec, TrainConfig, TrainedClassifier};
 use microbrowse_core::features::Featurizer;
-use microbrowse_core::serve::{DeployedModel, Scorer};
+use microbrowse_core::serve::{DeployedModel, Fidelity, ServingBundle};
 use microbrowse_core::statsbuild::{build_stats, StatsBuildConfig, TokenizedCorpus};
 use microbrowse_core::PairFilter;
 use microbrowse_store::{read_snapshot, write_snapshot};
@@ -92,8 +92,10 @@ fn roundtrip_predictions_agree(spec: ModelSpec) {
         "model must survive the disk round trip bit-exactly"
     );
 
-    let live = Scorer::new(&model, &stats);
-    let reloaded = Scorer::new(&model2, &stats2);
+    let live_bundle = ServingBundle::from_parts(model, stats, Fidelity::Full).expect("live bundle");
+    let reloaded_bundle =
+        ServingBundle::from_parts(model2, stats2, Fidelity::Full).expect("reloaded bundle");
+    let (live, reloaded) = (live_bundle.scorer(), reloaded_bundle.scorer());
     let mut live_scratch = live.scratch();
     let mut reloaded_scratch = reloaded.scratch();
     let probes = probe_snippets();
@@ -136,7 +138,8 @@ fn deployed_model_transfers_to_unseen_corpus() {
     });
     let tc = TokenizedCorpus::build(&fresh.corpus);
     let pairs = fresh.corpus.extract_pairs(&PairFilter::default());
-    let scorer = Scorer::new(&model, &stats);
+    let bundle = ServingBundle::from_parts(model, stats, Fidelity::Full).expect("bundle");
+    let scorer = bundle.scorer();
     let mut scratch = scorer.scratch();
     let mut correct = 0;
     for p in &pairs {
