@@ -131,6 +131,81 @@ struct RawFeature {
     value: f64,
 }
 
+/// One resolved feature row of the serving encode: a position group, a
+/// vocabulary id, and the summed signed count of the raw features that
+/// resolved to that `(group, id)` pair.
+///
+/// `group` is the coupled position group ([`PositionVocab`]) for coupled
+/// encodings and 0 for flat ones, which sum over positions. Row lists are
+/// kept sorted by `(group, id)` with no duplicate keys and no zero counts,
+/// so a pair encodes as a linear merge of its row lists
+/// ([`Featurizer::merge_coupled`], [`Featurizer::merge_flat`]). Counts are
+/// `i32` because one hostile snippet can repeat a token past `i16`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FeatRow {
+    /// Position group (0 for flat encodings).
+    group: u16,
+    /// Vocabulary id.
+    id: u32,
+    /// Signed occurrence count.
+    count: i32,
+}
+
+// Every position group fits a row's `u16` group.
+const _: () = assert!(PositionVocab::num_groups() <= u16::MAX as u32);
+
+impl FeatRow {
+    /// The `(group, id)` sort key packed into one integer.
+    fn key(&self) -> u64 {
+        u64::from(self.group) << 32 | u64::from(self.id)
+    }
+}
+
+/// Sort `rows` by `(group, id)`, sum the counts of equal keys and drop the
+/// keys whose counts cancel to zero.
+fn coalesce_rows(rows: &mut Vec<FeatRow>) {
+    rows.sort_unstable_by_key(FeatRow::key);
+    rows.dedup_by(|next, kept| {
+        let same = next.key() == kept.key();
+        if same {
+            kept.count += next.count;
+        }
+        same
+    });
+    rows.retain(|row| row.count != 0);
+}
+
+/// Merge three row lists sorted by `(group, id)`: `r` counts add, `s`
+/// counts subtract, `rw` counts add. Calls `emit(group, id, sum)` once per
+/// key with a nonzero sum, in increasing key order.
+fn merge_rows(r: &[FeatRow], s: &[FeatRow], rw: &[FeatRow], mut emit: impl FnMut(u16, u32, i32)) {
+    let head = |rows: &[FeatRow], at: usize| rows.get(at).map_or(u64::MAX, FeatRow::key);
+    let (mut i, mut j, mut k) = (0, 0, 0);
+    loop {
+        let (a, b, c) = (head(r, i), head(s, j), head(rw, k));
+        let key = a.min(b).min(c);
+        if key == u64::MAX {
+            return;
+        }
+        let mut count = 0;
+        if a == key {
+            count += r[i].count;
+            i += 1;
+        }
+        if b == key {
+            count -= s[j].count;
+            j += 1;
+        }
+        if c == key {
+            count += rw[k].count;
+            k += 1;
+        }
+        if count != 0 {
+            emit((key >> 32) as u16, key as u32, count);
+        }
+    }
+}
+
 /// Which creative of the scored pair a span attribution anchors to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanSide {
@@ -207,12 +282,11 @@ pub struct Featurizer<'a> {
     rewriter: RewriteExtractor,
     term_ids: FxHashMap<TermFeat, u32>,
     term_feats: Vec<TermFeat>,
-    // Reusable buffers for the `encode_*_scored` serving hot path; after
-    // warmup, encoding a pair allocates nothing.
+    // Reusable buffers for the serving encode; after warmup, encoding a
+    // pair allocates nothing.
     raw_buf: Vec<RawFeature>,
-    pair_buf: Vec<(u32, f64)>,
+    row_bufs: [Vec<FeatRow>; 3],
     sparse_buf: SparseVec,
-    agg_buf: FxHashMap<(u32, u32), f64>,
     occ_buf: Vec<CoupledFeature>,
 }
 
@@ -243,9 +317,8 @@ impl<'a> Featurizer<'a> {
             term_ids: FxHashMap::default(),
             term_feats: Vec::new(),
             raw_buf: Vec::new(),
-            pair_buf: Vec::new(),
+            row_bufs: Default::default(),
             sparse_buf: SparseVec::new(),
-            agg_buf: FxHashMap::default(),
             occ_buf: Vec::new(),
         }
     }
@@ -448,9 +521,10 @@ impl<'a> Featurizer<'a> {
 
     /// The n-gram term occurrences [`Self::collect`] would extract for one
     /// snippet, exposed so the serve path can extract each distinct snippet
-    /// once and replay the occurrences across a batch (the serve-time
-    /// analogue of [`PairCache`]'s cached occurrences). Only meaningful for
-    /// specs with term features; extraction interns multi-token phrases.
+    /// once and resolve it into feature rows that every later pair reuses
+    /// (the serve-time analogue of [`PairCache`]'s
+    /// cached occurrences). Only meaningful for specs with term features;
+    /// extraction interns multi-token phrases.
     pub fn term_occurrences(
         &self,
         snippet: &TokenizedSnippet,
@@ -636,47 +710,146 @@ impl<'a> Featurizer<'a> {
         self.rewriter
     }
 
-    /// Raw-feature collection for the scoring hot path: terms replayed from
-    /// occurrence slices, rewrites from an extraction the caller already
-    /// ran. Emission order matches [`Self::collect`] exactly.
-    fn collect_scored(
-        &self,
-        raw: &mut Vec<RawFeature>,
+    /// Resolve one snippet's term occurrences into its sorted rows (see
+    /// [`FeatRow`]), replacing `out`. Ids are assigned through the same
+    /// encounter-ordered `feat_id` as every encoding path, in occurrence
+    /// order, so resolving r's occurrences, then s's, then the pair's
+    /// rewrites allocates out-of-vocabulary ids exactly as
+    /// [`Self::encode_flat`] / [`Self::encode_coupled`] would. `coupled`
+    /// selects position groups; flat rows all sit in group 0.
+    pub(crate) fn resolve_term_rows(
+        &mut self,
+        occs: &[TermOccurrence],
+        coupled: bool,
+        out: &mut Vec<FeatRow>,
+    ) {
+        out.clear();
+        for occ in occs {
+            let group = if coupled {
+                PositionVocab::term_group(SnippetPos::new(occ.line, occ.pos)) as u16
+            } else {
+                0
+            };
+            out.push(FeatRow {
+                group,
+                id: self.feat_id(TermFeat::Term(occ.ngram.phrase)),
+                count: 1,
+            });
+        }
+        coalesce_rows(out);
+    }
+
+    /// Resolve one pair's rewrite extraction into its sorted rows,
+    /// replacing `out`: the rewrite features, identity rewrites as two
+    /// positional terms, and (for specs without term features) the
+    /// leftover terms, exactly as the reference encoders emit them. This is
+    /// the only serving step that resolves phrases and compares their
+    /// canonical order; the scorer memoizes its output per cached
+    /// alignment.
+    pub(crate) fn resolve_rewrite_rows(
+        &mut self,
+        ext: &RewriteExtraction,
+        coupled: bool,
+        interner: &Interner,
+        out: &mut Vec<FeatRow>,
+    ) {
+        let mut raw = std::mem::take(&mut self.raw_buf);
+        raw.clear();
+        self.push_rewrite_feats(ext, interner, &mut raw);
+        out.clear();
+        for f in &raw {
+            out.push(FeatRow {
+                group: if coupled { f.pos_group as u16 } else { 0 },
+                id: self.feat_id(f.feat),
+                count: f.value as i32,
+            });
+        }
+        self.raw_buf = raw;
+        coalesce_rows(out);
+    }
+
+    /// Coupled-encode one pair from its resolved rows: `r` rows count
+    /// `+`, `s` rows `−`, rewrite rows as resolved. Returns the reused
+    /// occurrence buffer, sorted by `(pos, term)` with no zero values —
+    /// valid until the next encode call.
+    ///
+    /// Bit-identical to [`Self::encode_coupled`]'s occurrences: every raw
+    /// feature value is ±1.0, so the reference's f64 sums per key are
+    /// exact integers whatever their order, and an integer sum converts to
+    /// the same f64. The list, its order and therefore the classifier's
+    /// summation order are unchanged.
+    pub(crate) fn merge_coupled(
+        &mut self,
+        r: &[FeatRow],
+        s: &[FeatRow],
+        rw: &[FeatRow],
+    ) -> &[CoupledFeature] {
+        let out = &mut self.occ_buf;
+        out.clear();
+        merge_rows(r, s, rw, |group, id, count| {
+            out.push(CoupledFeature {
+                pos: u32::from(group),
+                term: id,
+                value: f64::from(count),
+            })
+        });
+        &self.occ_buf
+    }
+
+    /// Flat-encode one pair from its resolved (group 0) rows into the
+    /// reused sparse vector — valid until the next encode call.
+    /// Bit-identical to [`Self::encode_flat`]'s features by the argument
+    /// of [`Self::merge_coupled`].
+    pub(crate) fn merge_flat(
+        &mut self,
+        r: &[FeatRow],
+        s: &[FeatRow],
+        rw: &[FeatRow],
+    ) -> &SparseVec {
+        let out = &mut self.sparse_buf;
+        out.clear();
+        merge_rows(r, s, rw, |_, id, count| out.push(id, f64::from(count)));
+        &self.sparse_buf
+    }
+
+    /// Resolve a pair's occurrence slices and extraction into the
+    /// featurizer's three reused row buffers (r, s, rewrites), in the
+    /// reference's id-assignment order.
+    fn resolve_scored(
+        &mut self,
+        coupled: bool,
         r_occs: &[TermOccurrence],
         s_occs: &[TermOccurrence],
         ext: Option<&RewriteExtraction>,
         interner: &Interner,
-    ) {
-        raw.clear();
+    ) -> [Vec<FeatRow>; 3] {
+        let mut rows = std::mem::take(&mut self.row_bufs);
+        for buf in &mut rows {
+            buf.clear();
+        }
+        let [r_rows, s_rows, rw_rows] = &mut rows;
         if self.spec.terms {
-            for (occs, sign) in [(r_occs, 1.0), (s_occs, -1.0)] {
-                for occ in occs {
-                    let pos = SnippetPos::new(occ.line, occ.pos);
-                    raw.push(RawFeature {
-                        feat: TermFeat::Term(occ.ngram.phrase),
-                        pos_group: PositionVocab::term_group(pos),
-                        value: sign,
-                    });
-                }
-            }
+            self.resolve_term_rows(r_occs, coupled, r_rows);
+            self.resolve_term_rows(s_occs, coupled, s_rows);
         }
         if self.spec.rewrites {
             debug_assert!(ext.is_some(), "rewrite spec scored without an extraction");
             if let Some(ext) = ext {
-                self.push_rewrite_feats(ext, interner, raw);
+                self.resolve_rewrite_rows(ext, coupled, interner, rw_rows);
             }
         }
+        rows
     }
 
-    /// Flat-encode one pair for scoring, reusing every internal buffer.
+    /// Flat-encode one pair for scoring, reusing every internal buffer:
+    /// resolve each side's and the rewrites' sorted feature rows, then
+    /// merge them (the serving scorer's encode, without its caches).
     ///
     /// Bit-identical to the features of [`Self::encode_flat`] when
     /// `r_occs`/`s_occs` came from [`Self::term_occurrences`] over the same
     /// snippets and `ext` is the extraction that path would compute (or
-    /// `None` for specs without rewrite features): id assignment is the same
-    /// encounter-ordered `feat_id`, and [`SparseVec::assign_from_pairs`]
-    /// runs the exact `from_pairs` algorithm. Returns the reused vector —
-    /// valid until the next `encode_*_scored` call.
+    /// `None` for specs without rewrite features). Returns the reused
+    /// vector — valid until the next encode call.
     pub fn encode_flat_scored(
         &mut self,
         r_occs: &[TermOccurrence],
@@ -684,25 +857,16 @@ impl<'a> Featurizer<'a> {
         ext: Option<&RewriteExtraction>,
         interner: &Interner,
     ) -> &SparseVec {
-        let mut raw = std::mem::take(&mut self.raw_buf);
-        self.collect_scored(&mut raw, r_occs, s_occs, ext, interner);
-        let mut pairs = std::mem::take(&mut self.pair_buf);
-        pairs.clear();
-        for f in &raw {
-            pairs.push((self.feat_id(f.feat), f.value));
-        }
-        self.sparse_buf.assign_from_pairs(&mut pairs);
-        self.pair_buf = pairs;
-        self.raw_buf = raw;
+        let rows = self.resolve_scored(false, r_occs, s_occs, ext, interner);
+        self.merge_flat(&rows[0], &rows[1], &rows[2]);
+        self.row_bufs = rows;
         &self.sparse_buf
     }
 
-    /// Coupled-encode one pair for scoring, reusing every internal buffer
-    /// (see [`Self::encode_flat_scored`] for the bit-identity contract).
-    /// The occurrence aggregation iterates a reused hash map, which is safe
-    /// bit-wise: per-key sums accumulate in raw emission order and the
-    /// final sort is over unique `(pos, term)` keys, so map iteration order
-    /// cannot influence the result.
+    /// Coupled-encode one pair for scoring, reusing every internal buffer:
+    /// resolve the rows, then merge them (see [`Self::encode_flat_scored`]
+    /// for the bit-identity contract; every raw value is ±1.0, so the
+    /// merge's integer sums equal the reference's f64 sums exactly).
     pub fn encode_coupled_scored(
         &mut self,
         r_occs: &[TermOccurrence],
@@ -710,23 +874,9 @@ impl<'a> Featurizer<'a> {
         ext: Option<&RewriteExtraction>,
         interner: &Interner,
     ) -> &[CoupledFeature] {
-        let mut raw = std::mem::take(&mut self.raw_buf);
-        self.collect_scored(&mut raw, r_occs, s_occs, ext, interner);
-        let mut agg = std::mem::take(&mut self.agg_buf);
-        agg.clear();
-        for f in &raw {
-            *agg.entry((f.pos_group, self.feat_id(f.feat)))
-                .or_insert(0.0) += f.value;
-        }
-        self.occ_buf.clear();
-        self.occ_buf.extend(
-            agg.iter()
-                .filter(|&(_, &v)| v != 0.0)
-                .map(|(&(pos, term), &value)| CoupledFeature { pos, term, value }),
-        );
-        self.occ_buf.sort_unstable_by_key(|o| (o.pos, o.term));
-        self.agg_buf = agg;
-        self.raw_buf = raw;
+        let rows = self.resolve_scored(true, r_occs, s_occs, ext, interner);
+        self.merge_coupled(&rows[0], &rows[1], &rows[2]);
+        self.row_bufs = rows;
         &self.occ_buf
     }
 
@@ -988,6 +1138,42 @@ mod tests {
         // "cheap" -> "pricey" is canonical order, so the observed
         // direction keeps value +1.
         assert_eq!(rewrite.value, 1.0);
+    }
+
+    #[test]
+    fn scored_encoders_match_reference_encoders() {
+        let stats = StatsDb::new();
+        let mut interner = Interner::new();
+        // Repeated tokens give rows with counts above one; the shared tail
+        // cancels; the changed middle yields rewrites and leftovers.
+        let r = snip(&mut interner, &["cheap cheap cheap flights", "book now"]);
+        let s = snip(&mut interner, &["find cheap flights cheap", "book today"]);
+        for spec in [
+            m(true, true, false),
+            m(true, true, true),
+            m(false, true, true),
+            m(true, false, true),
+        ] {
+            for (a, b) in [(&r, &s), (&s, &r), (&r, &r)] {
+                let mut ref_interner = interner.clone();
+                let mut ref_fz = Featurizer::new(spec, &stats);
+                let mut fz = Featurizer::new(spec, &stats);
+                let occ_a = fz.term_occurrences(a, &mut interner);
+                let occ_b = fz.term_occurrences(b, &mut interner);
+                let ext = fz.rewrite_extractor().extract(a, b, &stats, &mut interner);
+                let ext = spec.rewrites.then_some(&ext);
+                if spec.positions {
+                    let want = ref_fz.encode_coupled(a, b, true, &mut ref_interner).occs;
+                    let got = fz.encode_coupled_scored(&occ_a, &occ_b, ext, &interner);
+                    assert_eq!(got, want.as_slice(), "{spec:?}");
+                } else {
+                    let want = ref_fz.encode_flat(a, b, true, &mut ref_interner).features;
+                    let got = fz.encode_flat_scored(&occ_a, &occ_b, ext, &interner);
+                    assert_eq!(got, &want, "{spec:?}");
+                }
+                assert_eq!(fz.term_feats, ref_fz.term_feats, "{spec:?}");
+            }
+        }
     }
 
     #[test]

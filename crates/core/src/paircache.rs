@@ -13,8 +13,8 @@
 //! The serve-time analogue is the snippet arena behind
 //! [`Scorer::score_pair`](crate::serve::Scorer::score_pair), which applies
 //! the same amortize-the-preprocessing idea across requests: each scratch
-//! tokenizes a distinct snippet once, then scores every pair against the
-//! cached token arena.
+//! tokenizes a distinct snippet and resolves its features once, then scores
+//! every pair against the cached arena.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc as StdArc;

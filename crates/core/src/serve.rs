@@ -48,7 +48,7 @@ use microbrowse_text::{FxHashMap, Interner, Snippet, TermOccurrence, TokenizedSn
 use crate::classifier::{ModelSpec, TrainedClassifier};
 use crate::compiled::{CompiledEvidence, ScoringEngine, SymTableMap};
 use crate::error::{read_file_with_retry, MbError, RetryPolicy};
-use crate::features::{Featurizer, OwnedTermFeat};
+use crate::features::{FeatRow, Featurizer, OwnedTermFeat};
 use crate::paircache::{snippet_hash, AlignCache, CachedAlignment};
 use crate::rewrite::{prepare_pair, MatchStrategy, RewriteExtraction};
 
@@ -379,12 +379,18 @@ pub struct Scratch<'a> {
     sym_map: SymTableMap,
     /// Reusable rewrite-extraction buffer.
     ext_buf: RewriteExtraction,
-    /// Persistent snippet arena: tokenizations (and term occurrences) cached
-    /// across batches, `arena_len` is the number of live entries. Safe for
-    /// bit-identity because interning is idempotent: re-tokenizing a snippet
-    /// whose tokens are already in this scratch's interner would not change
-    /// interner state, so skipping the re-tokenization leaves every later
-    /// symbol assignment — and therefore every score — exactly where
+    /// Reusable n-gram occurrence buffer: an arena entry's occurrences
+    /// live here only until they are resolved into the entry's rows.
+    occ_buf: Vec<TermOccurrence>,
+    /// Rewrite rows of the last alignment-cache miss.
+    rw_rows: Vec<FeatRow>,
+    /// Persistent snippet arena: tokenizations and resolved feature rows
+    /// cached across batches, `arena_len` is the number of live entries.
+    /// Safe for bit-identity because interning and vocabulary-id assignment
+    /// are idempotent: re-tokenizing or re-resolving a snippet whose tokens
+    /// and features are already known to this scratch would change no
+    /// state, so skipping it leaves every later symbol and id — and
+    /// therefore every score — exactly where
     /// [`Scorer::score_pair_reference`] would put it.
     arena: Vec<ArenaEntry>,
     arena_len: usize,
@@ -393,13 +399,14 @@ pub struct Scratch<'a> {
     /// copy, so a 64-bit collision degrades to reprocessing, never to a
     /// wrong score.
     arena_index: FxHashMap<u64, usize>,
-    /// Shared-alignment → resolved-extraction memo, keyed by the
-    /// alignment's `Arc` pointer. The first replay of a cached
-    /// alignment in this scratch interns its phrases and resolves the
-    /// occurrences; repeats copy the already-resolved buffers (pure
-    /// `memcpy`, no string hashing). Holding the `Arc` in the value keeps
-    /// the pointer key unique for the life of the entry.
-    replay_memo: FxHashMap<usize, (std::sync::Arc<CachedAlignment>, RewriteExtraction)>,
+    /// Shared-alignment → resolved-rewrite-rows memo, keyed by the
+    /// alignment's `Arc` pointer. The first replay of a cached alignment in
+    /// this scratch interns its phrases and resolves its features into
+    /// rows; repeats read the rows in place (no interning, no phrase
+    /// resolution, no canonical-order compare, no feature hashing). Holding
+    /// the `Arc` in the value keeps the pointer key unique for the life of
+    /// the entry.
+    replay_memo: FxHashMap<usize, (std::sync::Arc<CachedAlignment>, Vec<FeatRow>)>,
 }
 
 impl<'a> Scratch<'a> {
@@ -417,15 +424,19 @@ impl<'a> Scratch<'a> {
 const SNIPPET_ARENA_CAP: usize = 8192;
 
 /// An arena slot: one distinct snippet's preprocessing, kept across
-/// batches (buffers keep their capacity on eviction reuse), so
-/// a warmed-up scratch scores repeat traffic without tokenizing at all.
+/// batches (buffers keep their capacity on eviction reuse), so a warmed-up
+/// scratch scores repeat traffic without tokenizing, extracting n-grams or
+/// resolving a single feature.
 struct ArenaEntry {
     /// The snippet this entry was filled from — hash-index hits are
     /// verified against it by full equality.
     snippet: Snippet,
     tok: TokenizedSnippet,
-    occs: Vec<TermOccurrence>,
-    occs_ready: bool,
+    /// The snippet's term features as rows sorted by `(group, id)` with
+    /// duplicates summed (see [`FeatRow`]): the snippet's whole side of
+    /// the pair score, which depends on the snippet alone.
+    rows: Vec<FeatRow>,
+    rows_ready: bool,
 }
 
 /// Replay-memo entries above this count drop the memo wholesale (same
@@ -498,6 +509,8 @@ impl<'a> Scorer<'a> {
             featurizer,
             sym_map: SymTableMap::new(),
             ext_buf: RewriteExtraction::default(),
+            occ_buf: Vec::new(),
+            rw_rows: Vec::new(),
             arena: Vec::new(),
             arena_len: 0,
             arena_index: FxHashMap::default(),
@@ -546,18 +559,19 @@ impl<'a> Scorer<'a> {
     ///
     /// Both sides resolve through the scratch's persistent snippet arena,
     /// then score through the compiled table and alignment cache. Per-pair
-    /// processing order is tokenize r, tokenize s, occurrences r,
-    /// occurrences s, then alignment; every step the arena or cache skips
-    /// would have been a state no-op (re-interning already interned
-    /// strings), so scores match [`Self::score_pair_reference`] bit for
-    /// bit.
+    /// processing order is tokenize r, tokenize s, term rows r, term rows
+    /// s, then alignment and rewrite rows; every step the arena, memo or
+    /// cache skips would have been a state no-op (re-interning already
+    /// interned strings, re-resolving already assigned feature ids), so
+    /// scores match [`Self::score_pair_reference`] bit for bit.
     pub fn score_pair(&self, r: &Snippet, s: &Snippet, scratch: &mut Scratch<'a>) -> f64 {
         let start = obs::now_if_enabled();
         let (ri, hr) = Self::arena_entry(r, &self.tokenizer, scratch);
         let (si, hs) = Self::arena_entry(s, &self.tokenizer, scratch);
         if self.spec.terms {
-            Self::ensure_arena_occs(ri, scratch);
-            Self::ensure_arena_occs(si, scratch);
+            let coupled = self.coupled();
+            Self::ensure_arena_rows(ri, coupled, scratch);
+            Self::ensure_arena_rows(si, coupled, scratch);
         }
         let score = self.score_entry(r, s, ri, si, AlignCache::combine_hashes(hr, hs), scratch);
         self.record_score(start);
@@ -627,8 +641,9 @@ impl<'a> Scorer<'a> {
     }
 
     /// Score many pairs through one scratch. Each distinct snippet is
-    /// tokenized and n-gram-extracted once per scratch (the snippet arena
-    /// outlives the call), however many pairs it appears in; the
+    /// tokenized, n-gram-extracted and resolved into feature rows once per
+    /// scratch (the snippet arena outlives the call), however many pairs it
+    /// appears in; the
     /// `score_batch_matches_serial_loop_bitwise` proptest in
     /// `core/tests/prop.rs` pins the batch to a serial loop bit for bit.
     pub fn score_batch(&self, pairs: &[(Snippet, Snippet)], scratch: &mut Scratch<'a>) -> Vec<f64> {
@@ -688,8 +703,8 @@ impl<'a> Scorer<'a> {
             scratch.arena.push(ArenaEntry {
                 snippet: snippet.clone(),
                 tok: TokenizedSnippet::default(),
-                occs: Vec::new(),
-                occs_ready: false,
+                rows: Vec::new(),
+                rows_ready: false,
             });
         }
         let Scratch {
@@ -697,38 +712,49 @@ impl<'a> Scorer<'a> {
         } = scratch;
         let e = &mut arena[i];
         e.snippet.clone_from(snippet);
-        e.occs_ready = false;
+        e.rows_ready = false;
         snippet.tokenize_into(tokenizer, interner, &mut e.tok);
         scratch.arena_len = i + 1;
         i
     }
 
-    /// Extract n-gram occurrences for arena entry `i` if not already cached
-    /// (into the entry's reused buffer).
-    fn ensure_arena_occs(i: usize, scratch: &mut Scratch<'a>) {
+    /// Whether the model is the coupled (position-aware) classifier, whose
+    /// rows carry position groups; flat rows all sit in group 0.
+    fn coupled(&self) -> bool {
+        matches!(self.model.classifier, TrainedClassifier::Coupled(_))
+    }
+
+    /// Resolve arena entry `i`'s term rows if not already cached: extract
+    /// the n-gram occurrences into the scratch's reused buffer, then
+    /// resolve them (in occurrence order) into the entry's rows.
+    fn ensure_arena_rows(i: usize, coupled: bool, scratch: &mut Scratch<'a>) {
         let Scratch {
             arena,
             interner,
             featurizer,
+            occ_buf,
             ..
         } = scratch;
         let ArenaEntry {
             tok,
-            occs,
-            occs_ready,
+            rows,
+            rows_ready,
             ..
         } = &mut arena[i];
-        if !*occs_ready {
-            featurizer.term_occurrences_into(&*tok, interner, occs);
-            *occs_ready = true;
+        if !*rows_ready {
+            featurizer.term_occurrences_into(&*tok, interner, occ_buf);
+            featurizer.resolve_term_rows(occ_buf, coupled, rows);
+            *rows_ready = true;
         }
     }
 
     /// Score one pair whose sides sit in arena entries `ri`/`si`: resolve
-    /// the rewrite alignment (cache hit replays it — including the exact
-    /// interner side effects of a fresh `prepare_pair` — or compute it
-    /// against the compiled evidence table and insert), then encode through
-    /// the featurizer's reused buffers and apply the model.
+    /// the pair's rewrite rows (a replay-memo hit reads them in place; a
+    /// cache hit replays the alignment — including the exact interner side
+    /// effects of a fresh `prepare_pair` — and resolves it once into the
+    /// memo; a miss computes the alignment against the compiled evidence
+    /// table, inserts it and resolves it), then merge the r, s and rewrite
+    /// rows and apply the model.
     fn score_entry(
         &self,
         r: &Snippet,
@@ -738,25 +764,26 @@ impl<'a> Scorer<'a> {
         pair_hash: u64,
         scratch: &mut Scratch<'a>,
     ) -> f64 {
+        let coupled = self.coupled();
+        let mut memo_key = None;
         if self.spec.rewrites {
             if let Some(cached) = self.engine.align().get_hashed(pair_hash, r, s) {
                 let key = std::sync::Arc::as_ptr(&cached) as usize;
-                if let Some((_, resolved)) = scratch.replay_memo.get(&key) {
-                    // Second replay in this scratch: every phrase is already
-                    // interned, so copying the resolved extraction is
-                    // state-equivalent to a full replay.
-                    scratch.ext_buf.rewrites.clone_from(&resolved.rewrites);
-                    scratch.ext_buf.r_leftover.clone_from(&resolved.r_leftover);
-                    scratch.ext_buf.s_leftover.clone_from(&resolved.s_leftover);
-                } else {
+                if !scratch.replay_memo.contains_key(&key) {
                     cached.replay(&mut scratch.interner, &mut scratch.ext_buf);
+                    let mut rows = Vec::new();
+                    scratch.featurizer.resolve_rewrite_rows(
+                        &scratch.ext_buf,
+                        coupled,
+                        &scratch.interner,
+                        &mut rows,
+                    );
                     if scratch.replay_memo.len() >= REPLAY_MEMO_CAP {
                         scratch.replay_memo.clear();
                     }
-                    scratch
-                        .replay_memo
-                        .insert(key, (cached, scratch.ext_buf.clone()));
+                    scratch.replay_memo.insert(key, (cached, rows));
                 }
+                memo_key = Some(key);
             } else {
                 let rw = scratch.featurizer.rewrite_extractor();
                 let prepared = {
@@ -787,30 +814,30 @@ impl<'a> Scorer<'a> {
                     s,
                     CachedAlignment::capture(&prepared, &scratch.ext_buf, &scratch.interner),
                 );
+                scratch.featurizer.resolve_rewrite_rows(
+                    &scratch.ext_buf,
+                    coupled,
+                    &scratch.interner,
+                    &mut scratch.rw_rows,
+                );
             }
         }
-        let ext = self.spec.rewrites.then_some(&scratch.ext_buf);
-        let (r_occs, s_occs): (&[TermOccurrence], &[TermOccurrence]) = if self.spec.terms {
-            (&scratch.arena[ri].occs, &scratch.arena[si].occs)
+        let rw_rows: &[FeatRow] = match memo_key {
+            Some(key) => &scratch.replay_memo[&key].1,
+            None if self.spec.rewrites => &scratch.rw_rows,
+            None => &[],
+        };
+        let (r_rows, s_rows): (&[FeatRow], &[FeatRow]) = if self.spec.terms {
+            (&scratch.arena[ri].rows, &scratch.arena[si].rows)
         } else {
             (&[], &[])
         };
         match &self.model.classifier {
             TrainedClassifier::Flat(lr) => {
-                let features =
-                    scratch
-                        .featurizer
-                        .encode_flat_scored(r_occs, s_occs, ext, &scratch.interner);
-                lr.score(features)
+                lr.score(scratch.featurizer.merge_flat(r_rows, s_rows, rw_rows))
             }
             TrainedClassifier::Coupled(cm) => {
-                let occs = scratch.featurizer.encode_coupled_scored(
-                    r_occs,
-                    s_occs,
-                    ext,
-                    &scratch.interner,
-                );
-                cm.score_occs(occs)
+                cm.score_occs(scratch.featurizer.merge_coupled(r_rows, s_rows, rw_rows))
             }
         }
     }
@@ -1510,6 +1537,128 @@ mod tests {
         assert_eq!(lat.len(), 1);
         let expected = scorer.score_pair_reference(&r, &s, &mut scorer.scratch());
         assert_eq!(scores[0].to_bits(), expected.to_bits());
+    }
+
+    /// An M6-shape model over [`sample_model`]'s vocabulary.
+    fn coupled_sample_model() -> DeployedModel {
+        let vocab = sample_model().vocab;
+        let pos = (0..crate::features::PositionVocab::num_groups())
+            .map(|g| 1.0 - 0.01 * f64::from(g))
+            .collect();
+        DeployedModel {
+            spec: ModelSpec::m6(),
+            classifier: TrainedClassifier::Coupled(CoupledModel::from_parts(
+                pos,
+                vec![1.5, -0.5, 0.25],
+                0.1,
+            )),
+            vocab,
+        }
+    }
+
+    /// Pair `i` of a stream of distinct pairs: every pair brings unseen
+    /// n-grams and rewrites, and which vocabulary features fire, on which
+    /// side and at which position varies with `i`, so a pair scored with
+    /// another pair's rows scores differently.
+    fn distinct_pair(i: usize) -> (Snippet, Snippet) {
+        let pad = format!("p{i} ").repeat(i % 4);
+        let (r, s) = match i % 3 {
+            0 => (
+                format!("{pad}find cheap w{i} flights"),
+                format!("get discounts w{i} flights"),
+            ),
+            1 => (format!("fees w{i} apply"), format!("{pad}cheap w{i} fees")),
+            _ => (format!("cheap fees w{i}"), format!("{pad}book v{i} now")),
+        };
+        (
+            Snippet::creative("air", &r, "book now"),
+            Snippet::creative("air", &s, format!("n{i}")),
+        )
+    }
+
+    #[test]
+    fn arena_and_replay_memo_evictions_keep_scores_bit_identical() {
+        let n = SNIPPET_ARENA_CAP.max(REPLAY_MEMO_CAP) + 64;
+        let pairs: Vec<_> = (0..n).map(distinct_pair).collect();
+        for model in [sample_model(), coupled_sample_model()] {
+            let bundle = bundle(model, Fidelity::Full);
+            let scorer = bundle.scorer();
+            let mut scratch = scorer.scratch();
+            let mut reference = scorer.scratch();
+            // Pass 1 misses the alignment cache on every pair and runs
+            // 2n distinct snippets through the arena.
+            let expect: Vec<u64> = pairs
+                .iter()
+                .map(|(r, s)| {
+                    let want = scorer.score_pair_reference(r, s, &mut reference).to_bits();
+                    assert_eq!(scorer.score_pair(r, s, &mut scratch).to_bits(), want);
+                    want
+                })
+                .collect();
+            assert!(
+                scratch.arena_len < 2 * n,
+                "the arena must have been dropped"
+            );
+            // Pass 2 hits the alignment cache on every pair and fills the
+            // replay memo past its cap.
+            for ((r, s), want) in pairs.iter().zip(&expect) {
+                assert_eq!(scorer.score_pair(r, s, &mut scratch).to_bits(), *want);
+            }
+            assert!(
+                scratch.replay_memo.len() < n,
+                "the memo must have been dropped"
+            );
+            // The first pairs now come back through evicted arena entries
+            // and evicted memo entries.
+            for ((r, s), want) in pairs.iter().zip(&expect).take(64) {
+                assert_eq!(scorer.score_pair(r, s, &mut scratch).to_bits(), *want);
+                let again = scorer.score_pair_reference(r, s, &mut reference).to_bits();
+                assert_eq!(again, *want);
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_vocab_ids_are_assigned_in_reference_order() {
+        // Repeats exercise the arena (one side seen before), the alignment
+        // cache and the replay memo (whole pair seen before), and swapped
+        // orientations; new pairs bring unseen n-grams and rewrites.
+        let stream: Vec<(Snippet, Snippet)> = (0..40)
+            .map(|k| match k % 5 {
+                0 | 1 => distinct_pair(k),
+                2 => {
+                    let (r, _) = distinct_pair(k - 2);
+                    (r, distinct_pair(k).1)
+                }
+                3 => distinct_pair(k - 3),
+                _ => {
+                    let (r, s) = distinct_pair(k - 3);
+                    (s, r)
+                }
+            })
+            .collect();
+        for model in [sample_model(), coupled_sample_model()] {
+            let bundle = bundle(model, Fidelity::Full);
+            let scorer = bundle.scorer();
+            let mut scratch = scorer.scratch();
+            let mut reference = scorer.scratch();
+            for (k, (r, s)) in stream.iter().enumerate() {
+                let got = scorer.score_pair(r, s, &mut scratch);
+                let want = scorer.score_pair_reference(r, s, &mut reference);
+                assert_eq!(got.to_bits(), want.to_bits(), "pair {k}");
+                assert_eq!(
+                    scratch.featurizer.vocab_len(),
+                    reference.featurizer.vocab_len(),
+                    "pair {k}"
+                );
+                assert_eq!(
+                    scratch.featurizer.export_vocab(&scratch.interner),
+                    reference.featurizer.export_vocab(&reference.interner),
+                    "pair {k}"
+                );
+            }
+            assert!(scratch.featurizer.vocab_len() > scorer.model.vocab.len());
+        }
     }
 
     #[test]

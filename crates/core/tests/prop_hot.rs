@@ -209,7 +209,7 @@ proptest! {
     /// scores the warmup pairs before the main pairs; the expectation is
     /// the reference path driven through the exact same sequence.
     #[test]
-    fn shared_cache_across_scratches_matches_legacy(
+    fn shared_cache_across_scratches_matches_reference(
         db in arb_stats(),
         raw_warmup in prop::collection::vec((arb_snippet_lines(), arb_snippet_lines()), 0..3),
         raw_pairs in prop::collection::vec((arb_snippet_lines(), arb_snippet_lines()), 1..4),

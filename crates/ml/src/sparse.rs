@@ -56,40 +56,20 @@ impl SparseVec {
         Self { indices, values }
     }
 
-    /// Rebuild `self` in place from `pairs`, reusing both buffers.
-    ///
-    /// Runs the exact algorithm of [`SparseVec::from_pairs`] (same unstable
-    /// sort, same in-order duplicate summation, same exact-zero drop), so the
-    /// result is bit-identical for the same input sequence — but the capacity
-    /// of `self` and of `pairs` survives across calls, which lets a warmed-up
-    /// scoring loop build feature vectors without allocating. `pairs` is
-    /// cleared afterwards, ready for refilling.
-    pub fn assign_from_pairs(&mut self, pairs: &mut Vec<(u32, f64)>) {
-        pairs.sort_unstable_by_key(|&(i, _)| i);
+    /// Remove every entry, keeping both buffers' capacity, so a warmed-up
+    /// scoring loop can rebuild feature vectors without allocating.
+    pub fn clear(&mut self) {
         self.indices.clear();
         self.values.clear();
-        for &(i, v) in pairs.iter() {
-            if let Some(&last) = self.indices.last() {
-                if last == i {
-                    *self.values.last_mut().expect("values parallel to indices") += v;
-                    continue;
-                }
-            }
-            self.indices.push(i);
-            self.values.push(v);
-        }
-        // Drop exact zeros produced by cancellation.
-        let mut k = 0;
-        for j in 0..self.indices.len() {
-            if self.values[j] != 0.0 {
-                self.indices[k] = self.indices[j];
-                self.values[k] = self.values[j];
-                k += 1;
-            }
-        }
-        self.indices.truncate(k);
-        self.values.truncate(k);
-        pairs.clear();
+    }
+
+    /// Append one entry. `index` must exceed every stored index and `value`
+    /// must be nonzero (the type's invariants; checked in debug builds).
+    pub fn push(&mut self, index: u32, value: f64) {
+        debug_assert!(self.indices.last().map_or(true, |&last| last < index));
+        debug_assert!(value != 0.0);
+        self.indices.push(index);
+        self.values.push(value);
     }
 
     /// Number of stored (nonzero) entries.

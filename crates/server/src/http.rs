@@ -489,10 +489,12 @@ impl Response {
         self
     }
 
-    /// Serialize head + body to `w`.
+    /// Serialize head + body to `w` in one `write_all`, so a response on a
+    /// `TCP_NODELAY` socket leaves as one segment train and one syscall
+    /// rather than a head segment followed by a body segment.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
         use std::fmt::Write as _;
-        let mut head = String::with_capacity(128);
+        let mut head = String::with_capacity(128 + self.body.len());
         let _ = write!(
             head,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
@@ -509,8 +511,9 @@ impl Response {
             let _ = write!(head, "{name}: {value}\r\n");
         }
         head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(&self.body);
+        w.write_all(&wire)?;
         w.flush()
     }
 }
@@ -674,6 +677,27 @@ mod tests {
             .unwrap()
             .unwrap();
         assert!(req.keep_alive);
+    }
+
+    #[test]
+    fn response_leaves_in_one_write() {
+        /// Records the size of every `write` call.
+        struct Writes(Vec<usize>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let resp = Response::json(200, "{\"score\":1.5}".into()).with_header("X-A", "b".into());
+        let mut bytes = Vec::new();
+        resp.write_to(&mut bytes).unwrap();
+        let mut writes = Writes(Vec::new());
+        resp.write_to(&mut writes).unwrap();
+        assert_eq!(writes.0, vec![bytes.len()]);
     }
 
     #[test]

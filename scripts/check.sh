@@ -10,6 +10,9 @@ cargo build --locked --workspace --all-targets
 echo "==> benchmark builds against the crates (perfbench/, lock file unchanged)"
 CARGO_TARGET_DIR=.bench_build cargo build --locked --offline --release -q --manifest-path perfbench/Cargo.toml
 
+echo "==> served scores bit-equal over HTTP on a trained M6 bundle, ledger reconciles (perfbench self-test)"
+./.bench_build/release/microbrowse-perfbench --self-test
+
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
@@ -62,9 +65,9 @@ echo "==> flight-recorder overhead gate (< 2% of traced serving wall time, recor
 cargo build --locked --release -q -p microbrowse-bench --bin flight_overhead
 ./target/release/flight_overhead --requests 2000
 
-echo "==> hot-path scoring engine gate (>= 5x the per-pair reference path, bit-identical)"
+echo "==> hot-path scoring engine gate (>= 20x the per-pair reference path, bit-identical)"
 cargo build --locked --release -q -p microbrowse-bench --bin bench_score_hot
-./target/release/bench_score_hot --adgroups 120 --reps 10 --gate 5.0 \
+./target/release/bench_score_hot --adgroups 120 --reps 10 --gate 20.0 \
     --out /tmp/BENCH_score_hot.check.json
 
 echo "==> server smoke gate (serve + hot reload under load + graceful drain)"
@@ -95,4 +98,4 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
-echo "OK: build, benchmark build, tests, fault injection, unwrap audit, overhead gate, trace schema, flight recorder, hot-path gate, server smoke, online drift gate, suggest gate, chaos gate, api docs, clippy, fmt all green"
+echo "OK: build, benchmark build, benchmark self-test, tests, fault injection, unwrap audit, overhead gate, trace schema, flight recorder, hot-path gate, server smoke, online drift gate, suggest gate, chaos gate, api docs, clippy, fmt all green"
