@@ -37,8 +37,10 @@
 //! shedding-ON run, 100% of shed (503/504) responses must be retrievable
 //! from `GET /debug/trace` by their echoed trace id — the flight recorder
 //! may not lose an anomaly under the very overload it exists to explain.
-//! The distinct id sets land in `results/BENCH_chaos.json` for post-hoc
-//! joins against `/debug/trace` dumps and trace JSONL.
+//! `results/BENCH_chaos.json` records each set's distinct count and its
+//! first [`TRACE_SAMPLES`] ids (sorted) as samples for post-hoc joins
+//! against `/debug/trace` dumps and trace JSONL; the gates read the full
+//! in-memory sets.
 //!
 //! Usage: `chaos_serve [--seed 42] [--workers 2] [--baseline-requests 1500]
 //! [--chaos-secs 3] [--shed-secs 2] [--p99-factor 3]
@@ -617,9 +619,12 @@ fn shed_run(shed_on: bool, workers: usize, secs: u64) -> (Tally, u64, f64, Optio
     (total, max_outcome.load(Ordering::Relaxed), elapsed, join)
 }
 
-/// Distinct trace ids in wire form as a JSON array, capped at `cap`
-/// entries so `BENCH_chaos.json` stays a reasonable size; returns the
-/// full distinct count alongside the (possibly truncated) array.
+/// Trace ids per set that `BENCH_chaos.json` keeps as samples.
+const TRACE_SAMPLES: usize = 8;
+
+/// The distinct count of `ids` and its first `cap` distinct ids (sorted,
+/// in wire form) as a JSON array — samples, so `BENCH_chaos.json` stays
+/// small however many requests the run made.
 fn trace_set_json(ids: &[u128], cap: usize) -> (usize, String) {
     let set: HashSet<u128> = ids.iter().copied().collect();
     let mut sorted: Vec<u128> = set.into_iter().collect();
@@ -776,11 +781,11 @@ fn main() {
         ));
     }
 
-    let (chaos_ok_distinct, chaos_ok_ids) = trace_set_json(&chaos.ok_traces, 4096);
-    let (chaos_shed_distinct, chaos_shed_ids) = trace_set_json(&chaos.shed_traces, 4096);
-    let (on_shed_distinct, on_shed_ids) = trace_set_json(&shed_on.shed_traces, 4096);
+    let (chaos_ok_distinct, chaos_ok_ids) = trace_set_json(&chaos.ok_traces, TRACE_SAMPLES);
+    let (chaos_shed_distinct, chaos_shed_ids) = trace_set_json(&chaos.shed_traces, TRACE_SAMPLES);
+    let (on_shed_distinct, on_shed_ids) = trace_set_json(&shed_on.shed_traces, TRACE_SAMPLES);
     let json = format!(
-        "{{\n  \"seed\": {seed},\n  \"workers\": {workers},\n  \"baseline\": {},\n  \"chaos\": {},\n  \"chaos_slowloris_attempts\": {slow_attempts},\n  \"chaos_malicious_attempts\": {bad_attempts},\n  \"recovery\": {},\n  \"drain\": {{\"drained\": {}, \"aborted\": {}}},\n  \"shed_overload\": {{\n    \"before\": {},\n    \"before_max_outcome_us\": {off_max_us},\n    \"after\": {},\n    \"after_max_outcome_us\": {on_max_us},\n    \"debug_trace_join\": {{\"shed_distinct\": {}, \"retrieved\": {}, \"missing\": {}}}\n  }},\n  \"trace_ids\": {{\n    \"recorded_cap\": 4096,\n    \"chaos_ok_distinct\": {chaos_ok_distinct},\n    \"chaos_ok\": {chaos_ok_ids},\n    \"chaos_shed_distinct\": {chaos_shed_distinct},\n    \"chaos_shed\": {chaos_shed_ids},\n    \"shed_on_distinct\": {on_shed_distinct},\n    \"shed_on_shed\": {on_shed_ids}\n  }},\n  \"panics\": {panics},\n  \"gate_failures\": [{}]\n}}\n",
+        "{{\n  \"seed\": {seed},\n  \"workers\": {workers},\n  \"baseline\": {},\n  \"chaos\": {},\n  \"chaos_slowloris_attempts\": {slow_attempts},\n  \"chaos_malicious_attempts\": {bad_attempts},\n  \"recovery\": {},\n  \"drain\": {{\"drained\": {}, \"aborted\": {}}},\n  \"shed_overload\": {{\n    \"before\": {},\n    \"before_max_outcome_us\": {off_max_us},\n    \"after\": {},\n    \"after_max_outcome_us\": {on_max_us},\n    \"debug_trace_join\": {{\"shed_distinct\": {}, \"retrieved\": {}, \"missing\": {}}}\n  }},\n  \"trace_ids\": {{\n    \"samples_per_set\": {TRACE_SAMPLES},\n    \"chaos_ok_distinct\": {chaos_ok_distinct},\n    \"chaos_ok_samples\": {chaos_ok_ids},\n    \"chaos_shed_distinct\": {chaos_shed_distinct},\n    \"chaos_shed_samples\": {chaos_shed_ids},\n    \"shed_on_distinct\": {on_shed_distinct},\n    \"shed_on_shed_samples\": {on_shed_ids}\n  }},\n  \"panics\": {panics},\n  \"gate_failures\": [{}]\n}}\n",
         tally_json(&mut baseline, baseline_s),
         tally_json(&mut chaos, chaos_secs as f64),
         tally_json(&mut recovery, recovery_s),

@@ -21,6 +21,8 @@
 //! starting weights: term/rewrite log-odds for relevance weights and
 //! position odds for position weights (§V-D.1).
 
+use std::sync::Arc;
+
 use microbrowse_ml::{CoupledDataset, CoupledExample, CoupledFeature, Dataset, Example, SparseVec};
 use microbrowse_store::key::SnippetPos;
 use microbrowse_store::{FeatureKey, StatsDb};
@@ -272,6 +274,68 @@ impl EncodedData {
     }
 }
 
+/// Term features in id order plus the reverse map: a featurizer's own
+/// vocabulary, or the frozen base a serving scratch resolves first.
+#[derive(Debug, Default)]
+pub(crate) struct FeatTable {
+    ids: FxHashMap<TermFeat, u32>,
+    feats: Vec<TermFeat>,
+}
+
+impl FeatTable {
+    /// `feat`'s id, appending it as id `first_id + len` when it is new.
+    fn get_or_push(&mut self, feat: TermFeat, first_id: usize) -> u32 {
+        if let Some(&id) = self.ids.get(&feat) {
+            return id;
+        }
+        let id = (first_id + self.feats.len()) as u32;
+        self.feats.push(feat);
+        self.ids.insert(feat, id);
+        id
+    }
+
+    /// A table holding exactly `vocab`, ids in list order, its strings
+    /// interned into `interner` as they come.
+    fn preloaded(vocab: &[OwnedTermFeat], interner: &mut Interner) -> Self {
+        let mut table = Self::default();
+        for owned in vocab {
+            let feat = match owned {
+                OwnedTermFeat::Term(t) => TermFeat::Term(interner.intern(t)),
+                OwnedTermFeat::Rewrite(a, b) => {
+                    TermFeat::Rewrite(interner.intern(a), interner.intern(b))
+                }
+            };
+            table.get_or_push(feat, 0);
+        }
+        table
+    }
+}
+
+/// A deployed model's vocabulary, preloaded once and frozen: the interner
+/// and feature table [`Featurizer::preload_vocab`] would build from a fresh
+/// start. Serving scratches are overlays on it (see
+/// [`Interner::with_base`] and [`Featurizer::with_base`]), so building one
+/// costs two `Arc` clones, not a re-intern of the whole vocabulary, and
+/// every symbol and feature id is the one a freshly preloaded scratch
+/// would assign.
+#[derive(Debug, Clone)]
+pub(crate) struct VocabBase {
+    pub(crate) interner: Arc<Interner>,
+    pub(crate) features: Arc<FeatTable>,
+}
+
+impl VocabBase {
+    /// Preload `vocab` into a fresh interner and feature table.
+    pub(crate) fn preload(vocab: &[OwnedTermFeat]) -> Self {
+        let mut interner = Interner::new();
+        let features = FeatTable::preloaded(vocab, &mut interner);
+        Self {
+            interner: Arc::new(interner),
+            features: Arc::new(features),
+        }
+    }
+}
+
 /// Featurizer: turns tokenized creative pairs into classifier examples,
 /// growing a term-feature vocabulary as it goes.
 #[derive(Debug)]
@@ -280,8 +344,11 @@ pub struct Featurizer<'a> {
     stats: &'a StatsDb,
     ngram: NGramExtractor,
     rewriter: RewriteExtractor,
-    term_ids: FxHashMap<TermFeat, u32>,
-    term_feats: Vec<TermFeat>,
+    /// Frozen features resolved first (ids `0..base.len`); `None` unless
+    /// built with [`Self::with_base`].
+    base: Option<Arc<FeatTable>>,
+    /// Features this featurizer assigned itself, numbered after the base.
+    vocab: FeatTable,
     // Reusable buffers for the serving encode; after warmup, encoding a
     // pair allocates nothing.
     raw_buf: Vec<RawFeature>,
@@ -314,12 +381,23 @@ impl<'a> Featurizer<'a> {
             stats,
             ngram: NGramExtractor::new(ngram),
             rewriter: RewriteExtractor::new(rewrite),
-            term_ids: FxHashMap::default(),
-            term_feats: Vec::new(),
+            base: None,
+            vocab: FeatTable::default(),
             raw_buf: Vec::new(),
             row_bufs: Default::default(),
             sparse_buf: SparseVec::new(),
             occ_buf: Vec::new(),
+        }
+    }
+
+    /// A featurizer (default configurations) whose vocabulary starts as
+    /// `base`: base features keep their ids and new ones are numbered
+    /// from the base's length on. Pair it with an interner overlay on the
+    /// base's interner (the table's symbols live there).
+    pub(crate) fn with_base(spec: ModelSpec, stats: &'a StatsDb, base: Arc<FeatTable>) -> Self {
+        Self {
+            base: Some(base),
+            ..Self::new(spec, stats)
         }
     }
 
@@ -330,14 +408,28 @@ impl<'a> Featurizer<'a> {
 
     /// Current vocabulary size (term-feature ids allocated so far).
     pub fn vocab_len(&self) -> usize {
-        self.term_feats.len()
+        self.base_len() + self.vocab.feats.len()
+    }
+
+    /// Features assigned beyond the base (all of them without one).
+    pub(crate) fn overlay_len(&self) -> usize {
+        self.vocab.feats.len()
+    }
+
+    fn base_len(&self) -> usize {
+        self.base.as_ref().map_or(0, |b| b.feats.len())
+    }
+
+    /// The vocabulary in id order, base first.
+    fn feats(&self) -> impl Iterator<Item = &TermFeat> {
+        let base: &[TermFeat] = self.base.as_ref().map_or(&[], |b| &b.feats);
+        base.iter().chain(&self.vocab.feats)
     }
 
     /// Export the vocabulary in id order as interner-independent strings
     /// (for model persistence; see `crate::serve`).
     pub fn export_vocab(&self, interner: &Interner) -> Vec<OwnedTermFeat> {
-        self.term_feats
-            .iter()
+        self.feats()
             .map(|feat| match feat {
                 TermFeat::Term(sym) => OwnedTermFeat::Term(interner.resolve(*sym).to_owned()),
                 TermFeat::Rewrite(a, b) => OwnedTermFeat::Rewrite(
@@ -354,28 +446,18 @@ impl<'a> Featurizer<'a> {
     /// silently mis-score).
     pub fn preload_vocab(&mut self, vocab: &[OwnedTermFeat], interner: &mut Interner) {
         assert!(
-            self.term_feats.is_empty(),
+            self.vocab_len() == 0,
             "preload_vocab requires a fresh featurizer"
         );
-        for owned in vocab {
-            let feat = match owned {
-                OwnedTermFeat::Term(t) => TermFeat::Term(interner.intern(t)),
-                OwnedTermFeat::Rewrite(a, b) => {
-                    TermFeat::Rewrite(interner.intern(a), interner.intern(b))
-                }
-            };
-            self.feat_id(feat);
-        }
+        self.vocab = FeatTable::preloaded(vocab, interner);
     }
 
     fn feat_id(&mut self, feat: TermFeat) -> u32 {
-        if let Some(&id) = self.term_ids.get(&feat) {
+        if let Some(&id) = self.base.as_ref().and_then(|b| b.ids.get(&feat)) {
             return id;
         }
-        let id = self.term_feats.len() as u32;
-        self.term_feats.push(feat);
-        self.term_ids.insert(feat, id);
-        id
+        let first_id = self.base_len();
+        self.vocab.get_or_push(feat, first_id)
     }
 
     /// Collect the raw (unencoded) features for one pair.
@@ -950,8 +1032,7 @@ impl<'a> Featurizer<'a> {
                 _ => 0.0,
             }
         };
-        self.term_feats
-            .iter()
+        self.feats()
             .map(|feat| match feat {
                 TermFeat::Term(sym) => lookup(&FeatureKey::term(interner.resolve(*sym))),
                 TermFeat::Rewrite(a, b) => lookup(&canonical_rewrite_key(
@@ -1081,7 +1162,7 @@ mod tests {
         let s = snip(&mut interner, &["get discounts flights"]);
         let mut fz = Featurizer::new(m(true, false, false), &stats);
         let _ = fz.encode_flat(&r, &s, true, &mut interner);
-        assert!(fz.term_feats.iter().all(|f| matches!(f, TermFeat::Term(_))));
+        assert!(fz.feats().all(|f| matches!(f, TermFeat::Term(_))));
     }
 
     #[test]
@@ -1093,10 +1174,7 @@ mod tests {
         let mut fz = Featurizer::new(m(false, true, false), &stats);
         let ex = fz.encode_flat(&r, &s, true, &mut interner);
         assert!(!ex.features.is_empty());
-        assert!(fz
-            .term_feats
-            .iter()
-            .any(|f| matches!(f, TermFeat::Rewrite(_, _))));
+        assert!(fz.feats().any(|f| matches!(f, TermFeat::Rewrite(_, _))));
     }
 
     #[test]
@@ -1171,7 +1249,7 @@ mod tests {
                     let got = fz.encode_flat_scored(&occ_a, &occ_b, ext, &interner);
                     assert_eq!(got, &want, "{spec:?}");
                 }
-                assert_eq!(fz.term_feats, ref_fz.term_feats, "{spec:?}");
+                assert!(fz.feats().eq(ref_fz.feats()), "{spec:?}");
             }
         }
     }

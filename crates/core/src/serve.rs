@@ -35,6 +35,7 @@
 
 use std::io::Read;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut, BytesMut};
 use microbrowse_ml::coupled::CoupledModel;
@@ -48,7 +49,7 @@ use microbrowse_text::{FxHashMap, Interner, Snippet, TermOccurrence, TokenizedSn
 use crate::classifier::{ModelSpec, TrainedClassifier};
 use crate::compiled::{CompiledEvidence, ScoringEngine, SymTableMap};
 use crate::error::{read_file_with_retry, MbError, RetryPolicy};
-use crate::features::{FeatRow, Featurizer, OwnedTermFeat};
+use crate::features::{FeatRow, Featurizer, OwnedTermFeat, VocabBase};
 use crate::paircache::{snippet_hash, AlignCache, CachedAlignment};
 use crate::rewrite::{prepare_pair, MatchStrategy, RewriteExtraction};
 
@@ -369,9 +370,12 @@ pub struct ScoreOutcome {
 /// scoring `&self`, so one shared `&Scorer` serves any number of threads,
 /// each with its own `Scratch`.
 ///
-/// Build one with [`Scorer::scratch`] (the model vocabulary is preloaded so
-/// trained feature ids keep their meaning) and reuse it across calls —
-/// reuse amortizes interner growth across requests.
+/// Build one with [`Scorer::scratch`] and reuse it across calls. Its
+/// interner and featurizer are overlays on the scorer's frozen vocabulary
+/// base, so trained feature ids keep their meaning, building one is O(1) in
+/// the vocabulary, and the scratch itself holds only what the base lacks:
+/// out-of-vocabulary symbols and features, the snippet arena and the
+/// memos, all bounded (the overlay at `SCRATCH_OVERLAY_CAP` entries).
 pub struct Scratch<'a> {
     interner: Interner,
     featurizer: Featurizer<'a>,
@@ -410,6 +414,14 @@ pub struct Scratch<'a> {
 }
 
 impl<'a> Scratch<'a> {
+    /// Symbols or features this scratch holds beyond the vocabulary base,
+    /// whichever is more.
+    fn overlay_len(&self) -> usize {
+        self.interner
+            .overlay_len()
+            .max(self.featurizer.overlay_len())
+    }
+
     /// Split borrow of the interner and featurizer, for the in-crate
     /// attribution path (`crate::explain`) which needs both mutably at
     /// once.
@@ -443,6 +455,14 @@ struct ArenaEntry {
 /// rationale as [`SNIPPET_ARENA_CAP`]).
 const REPLAY_MEMO_CAP: usize = 8192;
 
+/// Out-of-vocabulary symbols or features a scratch may hold beyond the
+/// vocabulary base before [`Scorer::score_pair`] swaps it for a fresh one.
+/// Scratches outlive connections, so without a cap one long stream of novel
+/// text would grow a scratch's interner and featurizer without bound.
+/// Scores do not depend on a scratch's history, so the swap changes no
+/// score.
+const SCRATCH_OVERLAY_CAP: usize = 65_536;
+
 /// A ready-to-serve scorer: deployed model + statistics database + the
 /// compiled engine built from that database.
 ///
@@ -458,6 +478,8 @@ pub struct Scorer<'a> {
     fidelity: Fidelity,
     /// Hot-path engine: compiled feature table + alignment cache.
     engine: &'a ScoringEngine,
+    /// The model vocabulary, preloaded once; every scratch overlays it.
+    base: VocabBase,
 }
 
 impl<'a> Scorer<'a> {
@@ -473,11 +495,26 @@ impl<'a> Scorer<'a> {
     /// fires). Feature ids keep their trained meaning because the model
     /// vocabulary is preloaded either way; unseen serve-time features
     /// score zero.
+    ///
+    /// Preloads the vocabulary base for this scorer alone;
+    /// [`ServingBundle::scorer`] shares the bundle's instead.
     pub fn with_engine(
         model: &'a DeployedModel,
         stats: &'a StatsDb,
         fidelity: Fidelity,
         engine: &'a ScoringEngine,
+    ) -> Self {
+        let base = VocabBase::preload(&model.vocab);
+        Self::over_base(model, stats, fidelity, engine, base)
+    }
+
+    /// [`Self::with_engine`] over an already preloaded vocabulary base.
+    fn over_base(
+        model: &'a DeployedModel,
+        stats: &'a StatsDb,
+        fidelity: Fidelity,
+        engine: &'a ScoringEngine,
+        base: VocabBase,
     ) -> Self {
         let spec = match &fidelity {
             Fidelity::Full => model.spec,
@@ -494,19 +531,24 @@ impl<'a> Scorer<'a> {
             tokenizer: Tokenizer::default(),
             fidelity,
             engine,
+            base,
         }
     }
 
-    /// Build a fresh scratch for this scorer: a new interner and featurizer
-    /// with the model vocabulary preloaded, so trained feature ids keep
-    /// their meaning. One per scoring thread; cheap next to model loading.
+    /// Build a fresh scratch for this scorer: an interner and a featurizer
+    /// overlaid on the frozen vocabulary base (two `Arc` clones), so trained
+    /// feature ids keep their meaning, plus empty arena and memos. One per
+    /// scoring thread, kept for as long as the scorer serves; each build
+    /// counts in `microbrowse_serve_scratch_builds_total`.
     pub fn scratch(&self) -> Scratch<'a> {
-        let mut interner = Interner::new();
-        let mut featurizer = Featurizer::new(self.spec, self.stats);
-        featurizer.preload_vocab(&self.model.vocab, &mut interner);
+        obs::counter!("microbrowse_serve_scratch_builds_total").inc();
         Scratch {
-            interner,
-            featurizer,
+            interner: Interner::with_base(Arc::clone(&self.base.interner)),
+            featurizer: Featurizer::with_base(
+                self.spec,
+                self.stats,
+                Arc::clone(&self.base.features),
+            ),
             sym_map: SymTableMap::new(),
             ext_buf: RewriteExtraction::default(),
             occ_buf: Vec::new(),
@@ -564,8 +606,14 @@ impl<'a> Scorer<'a> {
     /// cache skips would have been a state no-op (re-interning already
     /// interned strings, re-resolving already assigned feature ids), so
     /// scores match [`Self::score_pair_reference`] bit for bit.
+    ///
+    /// A scratch grown past `SCRATCH_OVERLAY_CAP` is first replaced by a
+    /// fresh one.
     pub fn score_pair(&self, r: &Snippet, s: &Snippet, scratch: &mut Scratch<'a>) -> f64 {
         let start = obs::now_if_enabled();
+        if scratch.overlay_len() > SCRATCH_OVERLAY_CAP {
+            *scratch = self.scratch();
+        }
         let (ri, hr) = Self::arena_entry(r, &self.tokenizer, scratch);
         let (si, hs) = Self::arena_entry(s, &self.tokenizer, scratch);
         if self.spec.terms {
@@ -876,6 +924,9 @@ pub struct ServingBundle {
     model_generation: Option<u64>,
     stats_generation: Option<u64>,
     engine: ScoringEngine,
+    /// The model vocabulary, preloaded once and shared by every scorer
+    /// and scratch built from this bundle.
+    base: VocabBase,
 }
 
 impl ServingBundle {
@@ -891,6 +942,7 @@ impl ServingBundle {
         fidelity: Fidelity,
     ) -> Result<Self, MbError> {
         let engine = compile_engine(&stats)?;
+        let base = VocabBase::preload(&model.vocab);
         Ok(Self {
             model,
             stats,
@@ -898,6 +950,7 @@ impl ServingBundle {
             model_generation: None,
             stats_generation: None,
             engine,
+            base,
         })
     }
 
@@ -935,13 +988,16 @@ impl ServingBundle {
         &self.engine
     }
 
-    /// Build a scorer over this bundle (one per serving thread).
+    /// Build a scorer over this bundle (one per serving thread). It shares
+    /// the bundle's vocabulary base, so this and [`Scorer::scratch`] are
+    /// both O(1) in the vocabulary.
     pub fn scorer(&self) -> Scorer<'_> {
-        Scorer::with_engine(
+        Scorer::over_base(
             &self.model,
             &self.stats,
             self.fidelity.clone(),
             &self.engine,
+            self.base.clone(),
         )
     }
 }
@@ -1008,6 +1064,7 @@ impl ScorerBuilder {
         let loaded = self.load_model().and_then(|(model, model_generation)| {
             let (stats, fidelity, stats_generation) = self.load_stats()?;
             let engine = compile_engine(&stats)?;
+            let base = VocabBase::preload(&model.vocab);
             Ok(ServingBundle {
                 model,
                 stats,
@@ -1015,6 +1072,7 @@ impl ScorerBuilder {
                 model_generation,
                 stats_generation,
                 engine,
+                base,
             })
         });
         match &loaded {
@@ -1637,11 +1695,31 @@ mod tests {
                 }
             })
             .collect();
-        for model in [sample_model(), coupled_sample_model()] {
+        // The reference scratch is either another overlay on the bundle's
+        // vocabulary base or a flat one preloaded from scratch: the base
+        // must be exactly the state a fresh preload builds.
+        for (model, flat_reference) in [
+            (sample_model(), false),
+            (coupled_sample_model(), false),
+            (sample_model(), true),
+            (coupled_sample_model(), true),
+        ] {
             let bundle = bundle(model, Fidelity::Full);
             let scorer = bundle.scorer();
             let mut scratch = scorer.scratch();
-            let mut reference = scorer.scratch();
+            let mut reference = if flat_reference {
+                preloaded_flat_scratch(&scorer)
+            } else {
+                scorer.scratch()
+            };
+            assert_eq!(
+                scratch.featurizer.vocab_len(),
+                reference.featurizer.vocab_len()
+            );
+            assert_eq!(
+                scratch.featurizer.export_vocab(&scratch.interner),
+                reference.featurizer.export_vocab(&reference.interner)
+            );
             for (k, (r, s)) in stream.iter().enumerate() {
                 let got = scorer.score_pair(r, s, &mut scratch);
                 let want = scorer.score_pair_reference(r, s, &mut reference);
@@ -1658,6 +1736,75 @@ mod tests {
                 );
             }
             assert!(scratch.featurizer.vocab_len() > scorer.model.vocab.len());
+        }
+    }
+
+    /// A scratch built the way every scratch was before the vocabulary
+    /// base: a flat interner and a `Featurizer::new` with the model
+    /// vocabulary preloaded into it.
+    fn preloaded_flat_scratch<'a>(scorer: &Scorer<'a>) -> Scratch<'a> {
+        let mut scratch = scorer.scratch();
+        scratch.interner = Interner::new();
+        scratch.featurizer = Featurizer::new(scorer.spec, scorer.stats);
+        scratch
+            .featurizer
+            .preload_vocab(&scorer.model.vocab, &mut scratch.interner);
+        scratch
+    }
+
+    #[test]
+    fn scratch_overlay_is_capped_without_changing_a_score() {
+        // Every pair brings ~100 novel tokens per side, so a few hundred
+        // pairs carry more than twice the cap in novel symbols and
+        // features.
+        let novel_pair = |i: usize| {
+            let side = |tag: &str, known: &str| {
+                Snippet::from_lines((0..4).map(|l| {
+                    let words: Vec<_> = (0..25).map(|k| format!("{tag}{i}x{l}x{k}")).collect();
+                    format!("{known} {}", words.join(" "))
+                }))
+            };
+            (side("a", "cheap"), side("b", "fees"))
+        };
+        for model in [sample_model(), coupled_sample_model()] {
+            let bundle = bundle(model, Fidelity::Full);
+            let scorer = bundle.scorer();
+            let mut scratch = scorer.scratch();
+            let mut reference = scorer.scratch();
+            let (mut streamed, mut resets) = (0, 0);
+            let mut i = 0;
+            while resets < 2 {
+                assert!(
+                    streamed <= 4 * SCRATCH_OVERLAY_CAP,
+                    "no reset after {i} pairs"
+                );
+                let (r, s) = novel_pair(i);
+                i += 1;
+                // What this pair adds to an empty overlay bounds what it
+                // can add to any scratch.
+                let mut fresh = scorer.scratch();
+                scorer.score_pair(&r, &s, &mut fresh);
+                let pair_growth = fresh.overlay_len();
+                streamed += pair_growth;
+
+                let before = scratch.overlay_len();
+                let got = scorer.score_pair(&r, &s, &mut scratch);
+                let want = scorer.score_pair_reference(&r, &s, &mut reference);
+                assert_eq!(got.to_bits(), want.to_bits(), "pair {i}");
+                let after = scratch.overlay_len();
+                assert!(
+                    after <= SCRATCH_OVERLAY_CAP + pair_growth,
+                    "pair {i}: overlay {after} > cap + {pair_growth}"
+                );
+                if after < before {
+                    resets += 1;
+                    assert!(
+                        before > SCRATCH_OVERLAY_CAP,
+                        "pair {i}: reset below the cap"
+                    );
+                }
+            }
+            assert!(reference.interner.overlay_len() > 2 * SCRATCH_OVERLAY_CAP);
         }
     }
 

@@ -14,7 +14,11 @@
 //!    background refit publishes a new generation — provenance flips to
 //!    `online-refit` in `/healthz` and `/version` — again with zero
 //!    failed requests across the swap;
-//! 6. close the server's stdin and assert graceful shutdown (drain
+//! 6. send 200 `/v1/score` requests, each on a new connection, and assert
+//!    the server built at most one scratch per worker per reload epoch
+//!    (`microbrowse_serve_scratch_builds_total` ≤ workers × (1 + reloads)):
+//!    a count, so the gate does not depend on the machine's speed;
+//! 7. close the server's stdin and assert graceful shutdown (drain
 //!    report, exit 0) within the deadline.
 //!
 //! Usage: `serve_smoke --bin ./target/release/microbrowse [--dir TMPDIR]`
@@ -31,6 +35,9 @@ use microbrowse_api::v1::{FeedbackEvent, FeedbackRequest};
 use microbrowse_core::serve::MODEL_SLOT_NAME;
 use microbrowse_server::client::Client;
 use microbrowse_store::ArtifactSlot;
+
+/// `--workers` the server is started with.
+const WORKERS: u64 = 2;
 
 fn main() -> ExitCode {
     match run() {
@@ -133,7 +140,7 @@ fn run() -> Result<(), String> {
                 "--addr",
                 "127.0.0.1:0",
                 "--workers",
-                "2",
+                &WORKERS.to_string(),
                 "--queue-depth",
                 "64",
                 "--refit-interval",
@@ -375,9 +382,53 @@ fn run() -> Result<(), String> {
             "feedback events counter: wanted 24 (two 12-event batches, duplicate excluded), got {events_total}"
         ));
     }
+
+    // 6. Connection per request: workers keep their scratch across
+    // connections and rebuild it only when the reload epoch changes.
+    const CHURN: u64 = 200;
+    for i in 0..CHURN {
+        let mut c = Client::connect(addr).map_err(|e| format!("churn connect {i}: {e}"))?;
+        let resp = c
+            .post(
+                "/v1/score",
+                "{\"r\":\"cheap flights|book now\",\"s\":\"flights|book\"}",
+            )
+            .map_err(|e| format!("churn score {i}: {e}"))?;
+        if resp.status != 200 {
+            return Err(format!(
+                "churn score {i}: wanted 200, got {} {}",
+                resp.status,
+                resp.body_str()
+            ));
+        }
+    }
+    // Builds first, then reloads: every counted build belongs to an epoch
+    // the reload count already covers.
+    let metrics = probe.get("/metrics").map_err(|e| format!("metrics: {e}"))?;
+    let builds = metrics
+        .body_str()
+        .lines()
+        .find_map(|l| l.strip_prefix("microbrowse_serve_scratch_builds_total "))
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .ok_or("metrics dump missing microbrowse_serve_scratch_builds_total")?;
+    let health = probe.get("/healthz").map_err(|e| format!("healthz: {e}"))?;
+    let epochs_reloaded = health
+        .body_str()
+        .split("\"reloads\":")
+        .nth(1)
+        .and_then(|v| v.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|v| v.parse::<u64>().ok())
+        .ok_or_else(|| format!("healthz missing reloads: {}", health.body_str()))?;
+    let allowed = WORKERS * (1 + epochs_reloaded);
+    if builds > allowed {
+        return Err(format!(
+            "{builds} scratch builds after {CHURN} connection-per-request scores and \
+             {epochs_reloaded} reload(s); at most {allowed} ({WORKERS} workers x (1 + reloads))"
+        ));
+    }
     drop(probe);
 
-    // 6. Graceful shutdown: close stdin, expect exit 0 within deadline.
+    // 7. Graceful shutdown: close stdin, expect exit 0 within deadline.
     drop(child.0.stdin.take());
     let exit_deadline = Instant::now() + Duration::from_secs(15);
     let status = loop {
@@ -401,7 +452,8 @@ fn run() -> Result<(), String> {
     }
     println!(
         "serve smoke: {ok} requests ok across reload (gen {current} -> {committed}) and online \
-         refit ({refits} refit(s), {deduped} deduped batch(es)), {rest}",
+         refit ({refits} refit(s), {deduped} deduped batch(es)), {builds} scratch build(s) over \
+         {epochs_reloaded} reload(s) and {CHURN} new connections, {rest}",
         rest = rest.trim()
     );
     std::fs::remove_dir_all(&dir).ok();

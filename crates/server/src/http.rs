@@ -184,6 +184,12 @@ impl<R: Read> RequestReader<R> {
         }
     }
 
+    /// The wrapped stream (for writing responses on the connection this
+    /// reader reads from).
+    pub fn get_ref(&self) -> &R {
+        &self.inner
+    }
+
     /// When the first byte of the most recently returned request arrived
     /// (as observed by this reader). `None` before any request completes.
     pub fn last_request_started(&self) -> Option<Instant> {

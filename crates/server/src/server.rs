@@ -6,13 +6,16 @@
 //!  clients ──▶ │ accept loop │ ───────────▶ │ bounded queue│ ──▶ workers × N
 //!              └────────────┘   full? 503   └─────────────┘        │
 //!                                                                  ▼
-//!  slot dir ──▶ reload thread ── Arc-swap ──▶ ServeState ──▶ Scorer per
-//!               (manifest poll)               (epoch++)      connection-epoch
+//!  slot dir ──▶ reload thread ── Arc-swap ──▶ ServeState ──▶ Scorer + Scratch
+//!               (manifest poll)               (epoch++)      per worker-epoch
 //! ```
 //!
-//! Each worker owns one connection at a time and serves its whole
-//! keep-alive session. Between requests it checks the reload epoch and
-//! rebuilds its scorer over the freshly swapped bundle when it changed —
+//! Each worker owns one scorer and one scratch per reload epoch and serves
+//! one connection's whole keep-alive session at a time through them, so
+//! connections reuse the worker's scratch (its snippet arena included).
+//! After reading each request it checks the reload epoch; when it changed,
+//! the worker rebuilds its scorer and scratch over the freshly swapped
+//! bundle and serves that request and the rest of the session on it —
 //! requests in flight finish on the bundle they started with.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -196,6 +199,7 @@ pub const HTTP_METRIC_COUNTERS: &[&str] = &[
     "microbrowse_http_connections_total",
     "microbrowse_serve_reloads_total",
     "microbrowse_serve_reload_failures_total",
+    "microbrowse_serve_scratch_builds_total",
     "microbrowse_batch_requests_total",
     "microbrowse_batch_items_total",
     "microbrowse_batch_coalesced_total",
@@ -851,35 +855,92 @@ fn reaper_loop(shared: &Shared) {
     }
 }
 
-fn worker_loop(shared: &Shared) {
-    loop {
-        match shared.queue.pop_timeout(Duration::from_millis(50)) {
-            Popped::Item(entry) => {
-                obs::gauge!("microbrowse_http_queue_depth").set(shared.queue.len() as i64);
-                // Dequeue-time staleness check (the reaper's fast path):
-                // don't start a session nobody is waiting on. Draining
-                // sessions are served — drain means "finish the queue".
-                if !shared.draining.load(Ordering::SeqCst)
-                    && entry.accepted.elapsed() > shared.cfg.queue_timeout
-                {
-                    shed_stale(shared, entry);
-                    continue;
-                }
-                serve_connection(shared, entry);
-            }
-            Popped::TimedOut => {
-                if shared.force_abort.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            Popped::Closed => return,
+/// A connection being served: its reader (which owns the socket; responses
+/// are written through [`RequestReader::get_ref`]), the instants its stage
+/// accounting and first deadline are anchored on, and its connection-cap
+/// permit. A session outlives a reload epoch: when the epoch changes the
+/// session goes back to its worker, which rebuilds its scorer and scratch
+/// and resumes the same session.
+struct Session {
+    reader: RequestReader<TcpStream>,
+    accepted: Instant,
+    dequeued: Instant,
+    first_request: bool,
+    /// A request read after the epoch changed, with the instant it parsed:
+    /// served first when the session resumes, on the new epoch's scorer.
+    pending: Option<(HttpRequest, Instant)>,
+    _permit: ConnPermit,
+}
+
+impl Session {
+    fn new(conn: QueuedConn, limits: Limits) -> Self {
+        Self {
+            reader: RequestReader::new(conn.stream, limits),
+            accepted: conn.accepted,
+            dequeued: Instant::now(),
+            first_request: true,
+            pending: None,
+            _permit: conn._permit,
         }
     }
 }
 
-/// Serve one connection's whole keep-alive session. The outer loop pins a
-/// bundle + scorer for the current reload epoch; the inner loop serves
-/// requests until close, error, or epoch change.
+/// One worker: pins a bundle, scorer and scratch for the current reload
+/// epoch and serves connection after connection through them, so a scratch
+/// is built once per worker per epoch, not once per connection. A session
+/// that sees the epoch change comes back here, the worker rebuilds for the
+/// new epoch and resumes it; an idle worker drops an outdated bundle when
+/// its queue wait times out.
+fn worker_loop(shared: &Shared) {
+    let mut resume: Option<Session> = None;
+    loop {
+        let epoch = shared.state.epoch();
+        let bundle = shared.state.current();
+        let scorer = bundle.scorer();
+        let mut scratch = scorer.scratch();
+        loop {
+            let session = match resume.take() {
+                Some(session) => session,
+                None => match shared.queue.pop_timeout(Duration::from_millis(50)) {
+                    Popped::Item(entry) => {
+                        obs::gauge!("microbrowse_http_queue_depth").set(shared.queue.len() as i64);
+                        // Dequeue-time staleness check (the reaper's fast
+                        // path): don't start a session nobody is waiting
+                        // on. Draining sessions are served — drain means
+                        // "finish the queue".
+                        if !shared.draining.load(Ordering::SeqCst)
+                            && entry.accepted.elapsed() > shared.cfg.queue_timeout
+                        {
+                            shed_stale(shared, entry);
+                            continue;
+                        }
+                        Session::new(entry, shared.cfg.limits.clone())
+                    }
+                    Popped::TimedOut => {
+                        if shared.force_abort.load(Ordering::Relaxed) {
+                            return;
+                        }
+                        if shared.state.epoch() != epoch {
+                            break;
+                        }
+                        continue;
+                    }
+                    Popped::Closed => return,
+                },
+            };
+            resume = serve_session(shared, session, epoch, &bundle, &scorer, &mut scratch);
+            if resume.is_some() {
+                break;
+            }
+        }
+    }
+}
+
+/// Serve a connection's keep-alive session on the worker's current epoch:
+/// requests until close, error, or a request read after the epoch changed.
+/// That request is kept in [`Session::pending`] and the session is handed
+/// back (`Some`) for the worker to resume on the new epoch; `None` means
+/// the connection is finished.
 ///
 /// When a request turns out to be `POST /v1/score` and more complete
 /// score requests are already pipelined in the read buffer, the worker
@@ -887,232 +948,233 @@ fn worker_loop(shared: &Shared) {
 /// [`Scorer::score_batch`] pass (see [`serve_score_group`]) and writes the
 /// responses back in arrival order — identical bytes, amortized engine
 /// work.
-fn serve_connection(shared: &Shared, conn: QueuedConn) {
-    let stream = &conn.stream;
-    let dequeued = Instant::now();
-    let mut reader = RequestReader::new(stream, shared.cfg.limits.clone());
-    let mut first_request = true;
-    'epoch: loop {
-        let epoch = shared.state.epoch();
-        let bundle = shared.state.current();
-        let scorer = bundle.scorer();
-        let mut scratch = scorer.scratch();
-        let degraded = bundle.fidelity().is_degraded();
-        loop {
-            if shared.force_abort.load(Ordering::Relaxed) {
-                shared.aborted.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            if shared.state.epoch() != epoch {
-                continue 'epoch;
-            }
-            let draining = shared.draining.load(Ordering::SeqCst);
-            match reader.next_request() {
-                Ok(Some(req)) => {
-                    let parsed_at = Instant::now();
-                    // Stage accounting: queue wait is accept → worker
-                    // dequeue and exists only for the first request of a
-                    // session; parse is the request's own first byte →
-                    // parsed (keep-alive idle time is excluded because the
-                    // reader anchors at the first byte).
-                    let queue_us = if first_request {
-                        dequeued
-                            .saturating_duration_since(conn.accepted)
-                            .as_micros() as u64
-                    } else {
-                        0
-                    };
-                    let parse_us = reader.last_request_started().map_or(0, |s| {
-                        parsed_at.saturating_duration_since(s).as_micros() as u64
-                    });
-                    // Deadline check before any scoring work. The budget is
-                    // anchored at connection accept for the first request —
-                    // time spent waiting in the accept queue counts against
-                    // it, which is exactly what makes shed-at-dequeue work —
-                    // and at the request's own first byte afterwards.
-                    let anchor = if first_request {
-                        conn.accepted
-                    } else {
-                        reader.last_request_started().unwrap_or_else(Instant::now)
-                    };
-                    // Adopt the caller's trace context (or mint a fresh id)
-                    // before any span or event for this request fires, so
-                    // the whole handling — deadline shed included — shares
-                    // one trace id.
-                    let ctx = wire_context(&req);
-                    let _ctx_guard = ctx.enter();
-                    if first_request {
-                        obs::trace::event("serve.dequeued")
-                            .with("queue_us", queue_us)
-                            .with("parse_us", parse_us);
-                    }
-                    first_request = false;
-                    let scoring = req.method == "POST" && req.path().starts_with("/v1/");
-                    match Deadline::from_request(&req, anchor, shared.cfg.request_deadline) {
-                        Err(e) => {
-                            obs::counter!("microbrowse_http_bad_requests_total").inc();
-                            let mut resp = Response::json(
-                                400,
-                                ErrorEnvelope::with_code(e, CODE_BAD_DEADLINE).to_json(),
-                            );
-                            resp.close = draining || !req.keep_alive;
-                            let stages = Stages {
-                                queue_us,
-                                parse_us,
-                                score_us: 0,
-                            };
-                            let wrote = finish_response(
-                                shared, stream, &req, ctx, stages, degraded, &mut resp,
-                            );
-                            if resp.close || !wrote {
-                                return;
-                            }
-                            continue;
-                        }
-                        // Shed expired scoring work instead of doing it: the
-                        // caller already gave up on this answer. Reads
-                        // (healthz, metrics) are served regardless — they are
-                        // cheap and operators poll them under overload.
-                        Ok(Some(deadline)) if scoring && deadline.expired() => {
-                            obs::counter!("microbrowse_http_deadline_exceeded_total").inc();
-                            obs::counter!("microbrowse_http_responses_5xx_total").inc();
-                            obs::trace::event("serve.deadline_exceeded")
-                                .with("overdue_ms", deadline.overdue().as_millis() as u64);
-                            let mut resp = Response::json(
-                                504,
-                                ErrorEnvelope::with_code(
-                                    "deadline expired in queue",
-                                    CODE_DEADLINE_EXCEEDED,
-                                )
-                                .to_json(),
-                            );
-                            resp.close = draining || !req.keep_alive;
-                            let stages = Stages {
-                                queue_us,
-                                parse_us,
-                                score_us: 0,
-                            };
-                            let wrote = finish_response(
-                                shared, stream, &req, ctx, stages, degraded, &mut resp,
-                            );
-                            if draining {
-                                shared.aborted.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if resp.close || !wrote {
-                                return;
-                            }
-                            continue;
-                        }
-                        Ok(_) => {}
-                    }
-                    let mut group = vec![req];
-                    // Requests carrying their own deadline are excluded from
-                    // coalescing so each one's budget is judged individually.
-                    let coalescable = |r: &HttpRequest| {
-                        r.method == "POST"
-                            && r.path() == "/v1/score"
-                            && r.keep_alive
-                            && r.header(DEADLINE_HEADER).is_none()
-                    };
-                    if !draining && coalescable(&group[0]) {
-                        while group.len() < shared.cfg.max_batch {
-                            match reader.next_buffered_if(coalescable) {
-                                Some(r) => group.push(r),
-                                None => break,
-                            }
-                        }
-                    }
-                    let score_started = Instant::now();
-                    let responses = if group.len() == 1 {
-                        vec![route(&group[0], &scorer, &mut scratch, &bundle, shared)]
-                    } else {
-                        serve_score_group(&group, &scorer, &mut scratch, bundle.model_generation())
-                    };
-                    // A coalesced group is one engine pass: the score stage
-                    // is shared, and the queue/parse stages belong to the
-                    // group head (followers were parsed out of its buffer).
-                    let score_us = score_started.elapsed().as_micros() as u64;
-                    for (i, (req, mut resp)) in group.iter().zip(responses).enumerate() {
-                        if draining || !req.keep_alive {
-                            resp.close = true;
-                        }
-                        let rctx = if i == 0 { ctx } else { wire_context(req) };
-                        let _follower_guard = (i > 0).then(|| rctx.enter());
-                        let stages = Stages {
-                            queue_us: if i == 0 { queue_us } else { 0 },
-                            parse_us: if i == 0 { parse_us } else { 0 },
-                            score_us,
-                        };
-                        let wrote =
-                            finish_response(shared, stream, req, rctx, stages, degraded, &mut resp);
-                        if draining {
-                            if wrote {
-                                shared.drained.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                shared.aborted.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        if resp.close || !wrote {
-                            return;
-                        }
-                    }
-                }
-                Ok(None) => return, // clean close between requests
+fn serve_session<'a>(
+    shared: &Shared,
+    mut session: Session,
+    epoch: u64,
+    bundle: &ServingBundle,
+    scorer: &Scorer<'a>,
+    scratch: &mut Scratch<'a>,
+) -> Option<Session> {
+    let degraded = bundle.fidelity().is_degraded();
+    loop {
+        if shared.force_abort.load(Ordering::Relaxed) {
+            shared.aborted.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        let draining = shared.draining.load(Ordering::SeqCst);
+        let (req, parsed_at) = match session.pending.take() {
+            Some(pending) => pending,
+            None => match session.reader.next_request() {
+                Ok(Some(req)) => (req, Instant::now()),
+                Ok(None) => return None, // clean close between requests
                 Err(e) => {
-                    // The request never parsed, so there is no caller trace
-                    // id to adopt — mint one so the error response, the
-                    // access log, and the flight recorder still join up.
-                    let trace = obs::trace::new_trace_id();
-                    let _ctx_guard = TraceContext::for_trace(trace).enter();
-                    if matches!(e, HttpError::SlowRequest) {
-                        obs::counter!("microbrowse_http_slow_requests_total").inc();
-                        obs::trace::event("serve.slow_request");
-                    } else if e.status().is_some() {
-                        obs::counter!("microbrowse_http_bad_requests_total").inc();
-                        obs::trace::event("serve.bad_request").with("error", e.to_string());
-                    }
-                    if let Some(resp) = error_response(&e) {
-                        let status = resp.status;
-                        let parse_us = reader
-                            .last_request_started()
-                            .map_or(0, |s| s.elapsed().as_micros() as u64);
-                        let _ = resp
-                            .with_header("X-Mb-Trace-Id", format_trace_id(trace))
-                            .write_to(&mut &*stream);
-                        shared.access.push(AccessRecord {
-                            method: "-".to_owned(),
-                            path: "-".to_owned(),
-                            status,
-                            trace,
-                            queue_us: 0,
-                            parse_us,
-                            score_us: 0,
-                            write_us: 0,
-                        });
-                        shared.flight.promote(
-                            trace,
-                            TraceSummary {
-                                reason: PromoteReason::Error,
-                                status,
-                                endpoint: "-".to_owned(),
-                                total_us: parse_us,
-                                queue_us: 0,
-                                parse_us,
-                                score_us: 0,
-                                write_us: 0,
-                            },
-                        );
-                    }
-                    // An idle keep-alive connection timing out during the
-                    // drain is a clean close, not an aborted request.
-                    let idle = matches!(e, crate::http::HttpError::Timeout { mid_request: false });
-                    if draining && !idle {
-                        shared.aborted.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return;
+                    read_failed(shared, &session.reader, &e, draining);
+                    return None;
+                }
+            },
+        };
+        // A request is scored on the bundle current when it was read.
+        if shared.state.epoch() != epoch {
+            session.pending = Some((req, parsed_at));
+            return Some(session);
+        }
+        let stream = session.reader.get_ref();
+        // Stage accounting: queue wait is accept → worker dequeue and
+        // exists only for the first request of a session; parse is the
+        // request's own first byte → parsed (keep-alive idle time is
+        // excluded because the reader anchors at the first byte).
+        let queue_us = if session.first_request {
+            session
+                .dequeued
+                .saturating_duration_since(session.accepted)
+                .as_micros() as u64
+        } else {
+            0
+        };
+        let parse_us = session.reader.last_request_started().map_or(0, |s| {
+            parsed_at.saturating_duration_since(s).as_micros() as u64
+        });
+        // Deadline check before any scoring work. The budget is anchored
+        // at connection accept for the first request — time spent waiting
+        // in the accept queue counts against it, which is exactly what
+        // makes shed-at-dequeue work — and at the request's own first byte
+        // afterwards.
+        let anchor = if session.first_request {
+            session.accepted
+        } else {
+            session
+                .reader
+                .last_request_started()
+                .unwrap_or_else(Instant::now)
+        };
+        // Adopt the caller's trace context (or mint a fresh id) before any
+        // span or event for this request fires, so the whole handling —
+        // deadline shed included — shares one trace id.
+        let ctx = wire_context(&req);
+        let _ctx_guard = ctx.enter();
+        if session.first_request {
+            obs::trace::event("serve.dequeued")
+                .with("queue_us", queue_us)
+                .with("parse_us", parse_us);
+        }
+        session.first_request = false;
+        let scoring = req.method == "POST" && req.path().starts_with("/v1/");
+        match Deadline::from_request(&req, anchor, shared.cfg.request_deadline) {
+            Err(e) => {
+                obs::counter!("microbrowse_http_bad_requests_total").inc();
+                let mut resp = Response::json(
+                    400,
+                    ErrorEnvelope::with_code(e, CODE_BAD_DEADLINE).to_json(),
+                );
+                resp.close = draining || !req.keep_alive;
+                let stages = Stages {
+                    queue_us,
+                    parse_us,
+                    score_us: 0,
+                };
+                let wrote = finish_response(shared, stream, &req, ctx, stages, degraded, &mut resp);
+                if resp.close || !wrote {
+                    return None;
+                }
+                continue;
+            }
+            // Shed expired scoring work instead of doing it: the caller
+            // already gave up on this answer. Reads (healthz, metrics) are
+            // served regardless — they are cheap and operators poll them
+            // under overload.
+            Ok(Some(deadline)) if scoring && deadline.expired() => {
+                obs::counter!("microbrowse_http_deadline_exceeded_total").inc();
+                obs::counter!("microbrowse_http_responses_5xx_total").inc();
+                obs::trace::event("serve.deadline_exceeded")
+                    .with("overdue_ms", deadline.overdue().as_millis() as u64);
+                let mut resp = Response::json(
+                    504,
+                    ErrorEnvelope::with_code("deadline expired in queue", CODE_DEADLINE_EXCEEDED)
+                        .to_json(),
+                );
+                resp.close = draining || !req.keep_alive;
+                let stages = Stages {
+                    queue_us,
+                    parse_us,
+                    score_us: 0,
+                };
+                let wrote = finish_response(shared, stream, &req, ctx, stages, degraded, &mut resp);
+                if draining {
+                    shared.aborted.fetch_add(1, Ordering::Relaxed);
+                }
+                if resp.close || !wrote {
+                    return None;
+                }
+                continue;
+            }
+            Ok(_) => {}
+        }
+        let mut group = vec![req];
+        // Requests carrying their own deadline are excluded from
+        // coalescing so each one's budget is judged individually.
+        let coalescable = |r: &HttpRequest| {
+            r.method == "POST"
+                && r.path() == "/v1/score"
+                && r.keep_alive
+                && r.header(DEADLINE_HEADER).is_none()
+        };
+        if !draining && coalescable(&group[0]) {
+            while group.len() < shared.cfg.max_batch {
+                match session.reader.next_buffered_if(coalescable) {
+                    Some(r) => group.push(r),
+                    None => break,
                 }
             }
         }
+        let stream = session.reader.get_ref();
+        let score_started = Instant::now();
+        let responses = if group.len() == 1 {
+            vec![route(&group[0], scorer, scratch, bundle, shared)]
+        } else {
+            serve_score_group(&group, scorer, scratch, bundle.model_generation())
+        };
+        // A coalesced group is one engine pass: the score stage is shared,
+        // and the queue/parse stages belong to the group head (followers
+        // were parsed out of its buffer).
+        let score_us = score_started.elapsed().as_micros() as u64;
+        for (i, (req, mut resp)) in group.iter().zip(responses).enumerate() {
+            if draining || !req.keep_alive {
+                resp.close = true;
+            }
+            let rctx = if i == 0 { ctx } else { wire_context(req) };
+            let _follower_guard = (i > 0).then(|| rctx.enter());
+            let stages = Stages {
+                queue_us: if i == 0 { queue_us } else { 0 },
+                parse_us: if i == 0 { parse_us } else { 0 },
+                score_us,
+            };
+            let wrote = finish_response(shared, stream, req, rctx, stages, degraded, &mut resp);
+            if draining {
+                if wrote {
+                    shared.drained.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    shared.aborted.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            if resp.close || !wrote {
+                return None;
+            }
+        }
+    }
+}
+
+/// Answer a request that failed to read (when the error has a response)
+/// and account for it. The request never parsed, so there is no caller
+/// trace id to adopt — mint one so the error response, the access log, and
+/// the flight recorder still join up.
+fn read_failed(shared: &Shared, reader: &RequestReader<TcpStream>, e: &HttpError, draining: bool) {
+    let trace = obs::trace::new_trace_id();
+    let _ctx_guard = TraceContext::for_trace(trace).enter();
+    if matches!(e, HttpError::SlowRequest) {
+        obs::counter!("microbrowse_http_slow_requests_total").inc();
+        obs::trace::event("serve.slow_request");
+    } else if e.status().is_some() {
+        obs::counter!("microbrowse_http_bad_requests_total").inc();
+        obs::trace::event("serve.bad_request").with("error", e.to_string());
+    }
+    if let Some(resp) = error_response(e) {
+        let status = resp.status;
+        let parse_us = reader
+            .last_request_started()
+            .map_or(0, |s| s.elapsed().as_micros() as u64);
+        let _ = resp
+            .with_header("X-Mb-Trace-Id", format_trace_id(trace))
+            .write_to(&mut reader.get_ref());
+        shared.access.push(AccessRecord {
+            method: "-".to_owned(),
+            path: "-".to_owned(),
+            status,
+            trace,
+            queue_us: 0,
+            parse_us,
+            score_us: 0,
+            write_us: 0,
+        });
+        shared.flight.promote(
+            trace,
+            TraceSummary {
+                reason: PromoteReason::Error,
+                status,
+                endpoint: "-".to_owned(),
+                total_us: parse_us,
+                queue_us: 0,
+                parse_us,
+                score_us: 0,
+                write_us: 0,
+            },
+        );
+    }
+    // An idle keep-alive connection timing out during the drain is a clean
+    // close, not an aborted request.
+    let idle = matches!(e, HttpError::Timeout { mid_request: false });
+    if draining && !idle {
+        shared.aborted.fetch_add(1, Ordering::Relaxed);
     }
 }
 

@@ -4,10 +4,11 @@
 //! reload thread polls the artifact-slot manifests and, when a new
 //! generation lands, loads it **off the request path** and atomically
 //! swaps the `Arc` in. Workers notice via a monotonically increasing
-//! epoch and rebuild their per-connection [`Scorer`](microbrowse_core::serve::Scorer)
+//! epoch and rebuild their per-worker [`Scorer`](microbrowse_core::serve::Scorer)
 //! (and its [`Scratch`](microbrowse_core::serve::Scratch)) over the new
-//! bundle between requests — zero downtime, zero dropped requests. A failed reload keeps the old bundle serving and is reported
-//! through the `serve.reload_failed` event / failure counter.
+//! bundle between requests — zero downtime, zero dropped requests. A
+//! failed reload keeps the old bundle serving and is reported through the
+//! `serve.reload_failed` event / failure counter.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

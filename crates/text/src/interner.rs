@@ -41,8 +41,16 @@ impl fmt::Display for Sym {
 ///
 /// Guarantees: `resolve(intern(s)) == s`, and `intern` is idempotent —
 /// interning the same string twice yields the same [`Sym`].
+///
+/// An interner built with [`Interner::with_base`] is an *overlay* on a
+/// frozen, shared base: base strings keep their base symbols, and strings
+/// new to both get symbols numbered from `base.len()` on, so the overlay
+/// hands out exactly the symbols a flat clone of the base would.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
+    /// Frozen lower layer (never itself an overlay); `None` for a flat
+    /// interner.
+    base: Option<Arc<Interner>>,
     map: FxHashMap<Arc<str>, Sym>,
     strings: Vec<Arc<str>>,
 }
@@ -53,14 +61,39 @@ impl Interner {
         Self::default()
     }
 
+    /// Create an empty overlay on `base`. Building one is O(1) in the size
+    /// of the base, and interning into it never changes the base.
+    ///
+    /// # Panics
+    /// If `base` is itself an overlay: bases are flat, so symbol lookup is
+    /// at most two levels deep.
+    pub fn with_base(base: Arc<Interner>) -> Self {
+        assert!(base.base.is_none(), "an interner base must be flat");
+        Self {
+            base: Some(base),
+            ..Self::default()
+        }
+    }
+
+    /// Symbols owned by the base (0 for a flat interner).
+    fn base_len(&self) -> usize {
+        self.base.as_ref().map_or(0, |b| b.strings.len())
+    }
+
+    /// Number of strings interned into this layer beyond its base (all of
+    /// them for a flat interner).
+    pub fn overlay_len(&self) -> usize {
+        self.strings.len()
+    }
+
     /// Intern `s`, returning its symbol. O(1) amortized.
     pub fn intern(&mut self, s: &str) -> Sym {
-        if let Some(&sym) = self.map.get(s) {
+        if let Some(sym) = self.get(s) {
             return sym;
         }
         let arc: Arc<str> = Arc::from(s);
-        let sym = Sym(u32::try_from(self.strings.len())
-            .expect("interner overflow: > u32::MAX distinct strings"));
+        let sym =
+            Sym(u32::try_from(self.len()).expect("interner overflow: > u32::MAX distinct strings"));
         self.strings.push(Arc::clone(&arc));
         self.map.insert(arc, sym);
         sym
@@ -69,34 +102,45 @@ impl Interner {
     /// Look up a symbol without interning. Returns `None` if `s` was never
     /// interned.
     pub fn get(&self, s: &str) -> Option<Sym> {
+        if let Some(sym) = self.base.as_ref().and_then(|b| b.map.get(s)) {
+            return Some(*sym);
+        }
         self.map.get(s).copied()
     }
 
     /// Resolve a symbol back to its string. Panics on a foreign symbol.
     pub fn resolve(&self, sym: Sym) -> &str {
-        &self.strings[sym.index()]
+        match self.try_resolve(sym) {
+            Some(s) => s,
+            None => panic!("foreign symbol {sym} (interner holds {})", self.len()),
+        }
     }
 
     /// Resolve, returning `None` for out-of-range symbols instead of
     /// panicking.
     pub fn try_resolve(&self, sym: Sym) -> Option<&str> {
-        self.strings.get(sym.index()).map(|s| &**s)
+        let i = sym.index();
+        match &self.base {
+            Some(b) if i < b.strings.len() => Some(&*b.strings[i]),
+            _ => self.strings.get(i - self.base_len()).map(|s| &**s),
+        }
     }
 
-    /// Number of distinct interned strings.
+    /// Number of distinct interned strings, base included.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.base_len() + self.strings.len()
     }
 
     /// Whether the interner is empty.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.len() == 0
     }
 
-    /// Iterate `(Sym, &str)` pairs in interning order.
+    /// Iterate `(Sym, &str)` pairs in interning order, base first.
     pub fn iter(&self) -> impl Iterator<Item = (Sym, &str)> {
-        self.strings
-            .iter()
+        let base: &[Arc<str>] = self.base.as_ref().map_or(&[], |b| &b.strings);
+        base.iter()
+            .chain(&self.strings)
             .enumerate()
             .map(|(i, s)| (Sym(i as u32), &**s))
     }
@@ -209,6 +253,67 @@ mod tests {
             got,
             vec![(Sym(0), "a".to_owned()), (Sym(1), "b".to_owned())]
         );
+    }
+
+    #[test]
+    fn overlay_agrees_with_a_flat_interner_fed_the_same_strings() {
+        let base_words = ["cheap", "flights", "book now", ""];
+        // Repeats of base strings, repeats of overlay strings, and strings
+        // new to both, interleaved.
+        let stream = [
+            "legroom", "cheap", "20%", "legroom", "", "fees", "flights", "20%", "w9",
+        ];
+        let mut flat = Interner::new();
+        let mut base = Interner::new();
+        for w in base_words {
+            flat.intern(w);
+            base.intern(w);
+        }
+        let base = Arc::new(base);
+        let mut overlay = Interner::with_base(Arc::clone(&base));
+        assert_eq!(overlay.len(), base.len());
+        assert_eq!(overlay.overlay_len(), 0);
+        for w in stream {
+            assert_eq!(overlay.intern(w), flat.intern(w), "{w:?}");
+        }
+        assert_eq!(overlay.len(), flat.len());
+        assert_eq!(overlay.overlay_len(), flat.len() - base_words.len());
+        for w in base_words.iter().chain(&stream).chain(&["never seen"]) {
+            assert_eq!(overlay.get(w), flat.get(w), "{w:?}");
+        }
+        // Every symbol on both sides of the boundary, and one past the end.
+        for i in 0..=flat.len() as u32 {
+            assert_eq!(overlay.try_resolve(Sym(i)), flat.try_resolve(Sym(i)), "{i}");
+        }
+        for i in 0..flat.len() as u32 {
+            assert_eq!(overlay.resolve(Sym(i)), flat.resolve(Sym(i)), "{i}");
+        }
+        assert!(overlay.iter().eq(flat.iter()));
+        // The base saw none of it.
+        assert_eq!(base.len(), base_words.len());
+        assert_eq!(base.get("legroom"), None);
+        assert_eq!(base.try_resolve(Sym(base_words.len() as u32)), None);
+    }
+
+    #[test]
+    fn overlays_on_one_base_are_independent() {
+        let mut base = Interner::new();
+        base.intern("shared");
+        let base = Arc::new(base);
+        let mut a = Interner::with_base(Arc::clone(&base));
+        let mut b = Interner::with_base(Arc::clone(&base));
+        assert_eq!(a.intern("only-a"), Sym(1));
+        assert_eq!(b.intern("only-b"), Sym(1));
+        assert_eq!(a.get("only-b"), None);
+        assert_eq!(a.get("shared"), b.get("shared"));
+        assert_eq!(base.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be flat")]
+    fn an_overlay_cannot_be_a_base() {
+        let overlay = Interner::with_base(Arc::new(Interner::new()));
+        let _ = Interner::with_base(Arc::new(overlay));
     }
 
     #[test]
